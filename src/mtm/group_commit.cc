@@ -30,6 +30,9 @@ struct EpochCounters {
     /** Sync-commit wait for epoch retirement (the fence is on another
      *  thread's clock now; this is what the caller actually pays). */
     obs::HdrHistogram wait_ns{"mtm.epoch_wait_ns"};
+    /** ~10 us grace naps a lingering (synchronous-commit) waiter took
+     *  before sealing; explicit waits never add to it. */
+    obs::Counter grace_naps{"mtm.epoch_grace_naps"};
 };
 
 EpochCounters &
@@ -81,24 +84,25 @@ EpochCombiner::joinAsync(const Member &m, Pending &&p)
 }
 
 void
-EpochCombiner::waitRetired(uint64_t epoch)
+EpochCombiner::waitRetired(uint64_t epoch, bool linger)
 {
     std::unique_lock<std::mutex> g(mu_);
     if (retired_ >= epoch)
         return;
     const uint64_t t0 = obs::enabled() ? obs::nowNs() : 0;
-    bool graced = false;
+    bool graced = !linger;
     while (retired_ < epoch) {
         assert(epoch <= openEpoch_ && "ticket from the future");
         if (!combining_ && !members_.empty()) {
-            // Grace before the seal: with more than one committer
-            // thread alive, linger while the batch is still growing so
-            // peers can stage and join this epoch — that is where the
-            // fence amortization comes from.  The loop seals early once
-            // every registered committer is aboard (nobody left to wait
-            // for) and gives up after two quiet naps, so a stalled peer
-            // costs tens of microseconds, never unbounded latency.  A
-            // lone committer skips all of this and seals immediately.
+            // Grace before the seal (synchronous commits only): with
+            // more than one committer thread alive, linger while the
+            // batch is still growing so peers can stage and join this
+            // epoch — that is where a sync commit's fence amortization
+            // comes from.  The loop seals early once every registered
+            // committer is aboard (nobody left to wait for) and gives
+            // up after two quiet naps, so a stalled peer costs tens of
+            // microseconds, never unbounded latency.  A lone committer
+            // and every explicit wait skip this and seal immediately.
             const size_t quorum = std::min<size_t>(
                 maxBatch_, committers_.load(std::memory_order_relaxed));
             if (!graced && quorum > 1) {
@@ -108,6 +112,7 @@ EpochCombiner::waitRetired(uint64_t epoch)
                 int quiet = 0;
                 while (retired_ < epoch && !combining_ &&
                        members_.size() < quorum) {
+                    ctrs().grace_naps.add(1);
                     cv_.wait_for(g, std::chrono::microseconds(10));
                     if (members_.size() > last) {
                         last = members_.size();
@@ -150,7 +155,7 @@ EpochCombiner::sync()
         else
             return;                         // nothing pending
     }
-    waitRetired(target);
+    waitRetired(target, /*linger=*/false);
 }
 
 bool

@@ -21,6 +21,14 @@
  *    and immediately RETIRED: waiters wake, deferred write-backs run,
  *    truncation tasks are released.
  *
+ * Sealing contract: an explicit wait — TxnManager::wait(ticket) or
+ * sync() — seals the open epoch at once.  Its caller already gathered
+ * the batch it wanted (a KV server loop's whole pass of commits), so a
+ * nap would only add latency.  Only a synchronous atomic{} commit
+ * lingers: it has no batch of its own, so with more than one live log
+ * lease its waiter naps in ~10 us grace steps while peers join the
+ * epoch (counted by mtm.epoch_grace_naps).
+ *
  * Durability contract (write-ahead preserved under every persist mode,
  * including the cache-eviction model kRandomSubset):
  *
@@ -111,10 +119,16 @@ class EpochCombiner
      * open epoch itself; a waiter parked behind an in-flight round
      * nudges the truncator on every wakeup so a full log can never
      * deadlock the batch (the Rawl::append backoff interaction).
+     *
+     * With @p linger (synchronous commits only) a free waiter first
+     * naps in grace while peers may still join the epoch; without it
+     * (explicit wait(ticket)/sync(): the caller has already gathered
+     * its batch) the open epoch is sealed at once.
      */
-    void waitRetired(uint64_t epoch);
+    void waitRetired(uint64_t epoch, bool linger);
 
-    /** Drain every open/in-flight epoch (durability barrier). */
+    /** Drain every open/in-flight epoch (durability barrier); seals at
+     *  once. */
     void sync();
 
     /**
@@ -137,13 +151,14 @@ class EpochCombiner
     /**
      * Committer-thread registration, maintained by the manager's log
      * lease lifecycle (first lease acquire / thread-exit recycle).
-     * More than one registered committer is THE signal that a grace nap
-     * before sealing can grow the batch.  Instantaneous in-flight-commit
-     * counts cannot serve here: a fencing thread serializes its peers'
-     * staging on the SCM context, and on a single-core host peers are
-     * only ever preempted at scheduler quanta — both make "someone else
-     * is committing RIGHT NOW" nearly unobservable even when eight
-     * threads hammer commits.  Lease possession is the stable proxy.
+     * More than one registered committer is THE signal that a lingering
+     * (synchronous-commit) grace nap before sealing can grow the batch.
+     * Instantaneous in-flight-commit counts cannot serve here: a fencing
+     * thread serializes its peers' staging on the SCM context, and on a
+     * single-core host peers are only ever preempted at scheduler
+     * quanta — both make "someone else is committing RIGHT NOW" nearly
+     * unobservable even when eight threads hammer commits.  Lease
+     * possession is the stable proxy.
      */
     void
     registerCommitter()

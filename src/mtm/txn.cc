@@ -530,10 +530,11 @@ Txn::commit()
             // Synchronous commit under group commit: wait for the epoch
             // fence (issued once, by whichever thread combines) BEFORE
             // the write-back — write-ahead again.  The wait is what the
-            // caller pays instead of a private flush+fence.
+            // caller pays instead of a private flush+fence; it lingers
+            // in grace so concurrent sync committers share the epoch.
             obs::SpanScope fence_span(flightDetail_, obs::Span::kLogFence);
             epoch = comb->joinSync(member);
-            comb->waitRetired(epoch);
+            comb->waitRetired(epoch, /*linger=*/true);
         }
     }
 

@@ -190,7 +190,7 @@ void
 TxnManager::wait(CommitTicket t)
 {
     if (combiner_ && t.pending())
-        combiner_->waitRetired(t.epoch);
+        combiner_->waitRetired(t.epoch, /*linger=*/false);
 }
 
 void

@@ -177,11 +177,11 @@ class TxnManager
     }
 
     /** Block until @p t's epoch has retired (no-op for retired/empty
-     *  tickets). */
+     *  tickets).  Seals the open epoch at once, without a grace nap. */
     void wait(CommitTicket t);
 
     /** Durability barrier: drain every open and in-flight epoch, so all
-     *  previously returned tickets are retired. */
+     *  previously returned tickets are retired.  Seals at once. */
     void sync();
 
     /** Begin (or flat-nest into) this thread's transaction. */

@@ -2,32 +2,35 @@
  * @file
  * KvServer: the networked durable KV service (DESIGN.md §10).
  *
- * Architecture (mcas-style): N IO threads run non-blocking epoll event
- * loops — accepting connections, reading length-prefixed request
- * frames, and flushing response bytes.  Fully-parsed requests are
- * queued per connection; a connection with pending requests is checked
- * out by exactly one of M worker threads at a time (per-connection
- * FIFO, cross-connection parallelism).  Workers map write requests
- * onto relaxed-durability transactions (`Runtime::atomicAsync` via
- * PHashTable::putAsync/delAsync), collect the commit tickets for the
- * batch, and `wait()` once on the newest epoch — epochs retire in
- * order, so that single wait covers every commit in the batch, and
- * because many workers wait on the SAME open epoch, the group-commit
- * combiner amortizes one fence across the whole socket fleet.
- * Acknowledgments are enqueued only after that wait returns: an acked
- * write is durable by construction.
+ * Architecture (run to completion): each of the `workers` threads runs
+ * one non-blocking epoll loop that owns its connections outright; loop
+ * 0 also accepts and deals new connections round-robin.  A loop pass
+ * reads what its sockets hold, then parses up to kFramesPerPass frames
+ * per connection and executes them inline: GETs read the table, writes
+ * commit as relaxed-durability transactions (PHashTable::putAsync/
+ * delAsync, BATCH via Runtime::atomicAsync) that return epoch tickets.
+ * Once the pass has executed everything it read, ONE wait on the
+ * newest ticket covers all of its commits (epochs retire in order) and
+ * seals the open epoch at once: the loop runs the combine round itself
+ * unless another loop's round is in flight.  Only then are the pass's
+ * responses released to the sockets, so an acked write is durable by
+ * construction, and concurrent loops' commits share fence epochs.
  *
- * Shutdown drains the workers, sync()s, and drains the truncator so a
- * clean stop leaves zero unreplayed log.
+ * Responses leave each connection in request order.  A connection
+ * whose unsent response bytes pass a fixed cap is not read again until
+ * EPOLLOUT drains them: a client that pipelines without reading costs
+ * bounded memory and never stalls the loop's other connections.
+ *
+ * Shutdown: each loop finishes its pass, flushes what it has answered
+ * (bounded), and closes its connections; stop() then sync()s and
+ * drains the truncator so a clean stop leaves zero unreplayed log.
  */
 
 #ifndef MNEMOSYNE_SERVER_KV_SERVER_H_
 #define MNEMOSYNE_SERVER_KV_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,13 +48,8 @@ struct KvServerConfig {
     /** TCP port to bind on 127.0.0.1; 0 picks an ephemeral port. */
     uint16_t port = 0;
 
-    int io_threads = 1;
+    /** Event loops; each executes its connections' requests inline. */
     int workers = 4;
-
-    /** Max requests a worker takes from one connection per checkout:
-     *  bounds per-connection latency under deep pipelines while still
-     *  amortizing one durability wait over the whole batch. */
-    size_t worker_batch = 32;
 
     /** Persistent table backing the service. */
     std::string table = "kv_server_table";
@@ -67,13 +65,15 @@ class KvServer
     KvServer(const KvServer &) = delete;
     KvServer &operator=(const KvServer &) = delete;
 
-    /** Bind + spawn IO and worker threads; false on bind failure. */
+    /** Bind + spawn the event loops; false on bind failure. */
     bool start();
 
     /**
-     * Graceful stop: stop accepting, let workers drain every queued
-     * request, flush pending response bytes, then sync() and drain the
-     * truncator so the log is empty on disk (restart replays nothing).
+     * Graceful stop: every loop finishes its current pass and flushes
+     * the responses it released (bounded); requests it had not yet
+     * executed are dropped unanswered, like bytes still in a socket.
+     * Then sync() and drain the truncator so the log is empty on disk
+     * (restart replays nothing).
      */
     void stop();
 
@@ -85,57 +85,44 @@ class KvServer
     ds::PHashTable &table() { return table_; }
 
   private:
-    struct Request {
-        uint64_t id;
-        Op op;
-        std::string key;
-        std::string value;
-        uint64_t t0;    ///< arrival timestamp (obs ticks)
-    };
-
+    /** One connection, touched only by the loop that owns it. */
     struct Conn {
-        int fd = -1;
-        int ioThread = 0;
-        std::atomic<bool> closed{false};
-
-        // Receive side: owned by the IO thread, no lock needed.
-        std::vector<uint8_t> rd;
+        int fd = -1;                ///< -1 once closed
+        std::vector<uint8_t> rd;    ///< received; [rdOff, end) unparsed
         size_t rdOff = 0;
-
-        // Parsed-request queue, shared IO thread -> workers.
-        std::mutex qmu;
-        std::deque<Request> pending;
-        bool claimed = false;   ///< one worker owns this conn right now
-
-        // Send side: workers append under wmu; IO thread flushes.
-        std::mutex wmu;
-        std::vector<uint8_t> wr;
+        std::vector<uint8_t> wr;    ///< answered; [wrOff, end) unsent
         size_t wrOff = 0;
-        bool wantWrite = false; ///< EPOLLOUT armed
+        uint32_t armed = 0;         ///< current epoll interest
+        bool scheduled = false;     ///< in its loop's run list
     };
     using ConnPtr = std::shared_ptr<Conn>;
 
-    struct IoThread {
+    struct Loop {
         int epfd = -1;
-        int wakeFd = -1;        ///< eventfd others kick to hand off work
-        std::mutex mu;          ///< guards newConns + flushReq only
-        std::vector<ConnPtr> newConns;  ///< accepted, awaiting registration
-        std::vector<ConnPtr> flushReq;  ///< conns with fresh response bytes
-        std::unordered_map<Conn *, ConnPtr> conns;  ///< owner-thread only
+        int wakeFd = -1;            ///< eventfd: new connections, stop
+        std::mutex mu;              ///< guards newConns only
+        std::vector<ConnPtr> newConns;  ///< dealt by loop 0
+        std::unordered_map<Conn *, ConnPtr> conns;
+        std::vector<ConnPtr> run;   ///< conns with frames to execute
+        std::vector<ConnPtr> pass;  ///< conns the current pass executes
         std::thread thr;
     };
 
-    void ioLoop(IoThread &io);
-    void workerLoop();
-    void acceptPending();
-    void readConn(IoThread &io, const ConnPtr &c);
-    void flushConn(IoThread &io, const ConnPtr &c);
-    void closeConn(IoThread &io, const ConnPtr &c);
-    void enqueueReady(const ConnPtr &c, size_t depth);
-    void processConn(const ConnPtr &c, std::vector<Request> &batch);
-    void execBatchOp(const Request &req, std::vector<uint8_t> &out,
+    void loopMain(Loop &lp);
+    void connEvent(Loop &lp, Conn *raw, uint32_t events);
+    void acceptPending(Loop &lp);
+    void addConn(Loop &lp, ConnPtr c);
+    void readConn(Loop &lp, const ConnPtr &c);
+    void runPass(Loop &lp);
+    void execute(const RequestView &req, std::vector<uint8_t> &out,
+                 uint64_t *maxEpoch);
+    void execBatchOp(const RequestView &req, std::vector<uint8_t> &out,
                      uint64_t *maxEpoch);
-    void kickIo(const ConnPtr &c);
+    void flushConn(Loop &lp, const ConnPtr &c);
+    void rearm(Loop &lp, Conn &c);
+    void schedule(Loop &lp, const ConnPtr &c);
+    void closeConn(Loop &lp, const ConnPtr &c);
+    void drainAndClose(Loop &lp);
 
     Runtime &rt_;
     KvServerConfig cfg_;
@@ -143,21 +130,11 @@ class KvServer
 
     int listenFd_ = -1;
     uint16_t port_ = 0;
-    std::atomic<bool> stopIo_{false};
-    std::atomic<bool> stopWorkers_{false};
-    std::atomic<bool> accepting_{true};
+    std::atomic<bool> stop_{false};
     std::atomic<uint64_t> served_{0};
-    std::atomic<uint64_t> liveConns_{0};
-    std::atomic<uint64_t> pendingOut_{0};   ///< unflushed response bytes
-    std::atomic<size_t> nextIo_{0};
+    size_t nextLoop_ = 0;           ///< loop 0's round-robin cursor
 
-    std::vector<std::unique_ptr<IoThread>> ios_;
-
-    std::mutex readyMu_;
-    std::condition_variable readyCv_;
-    std::deque<ConnPtr> ready_;
-    std::atomic<int> busyWorkers_{0};
-    std::vector<std::thread> workers_;
+    std::vector<std::unique_ptr<Loop>> loops_;
     bool started_ = false;
 };
 

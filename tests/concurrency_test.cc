@@ -334,7 +334,7 @@ TEST(Concurrency, TxnThroughputUnderThreadChurn)
 
 TEST(Concurrency, PHashTableReaderWriterStress)
 {
-    // The KV server's worker pool is the first real multi-threaded
+    // The KV server's event loops are the first real multi-threaded
     // client of PHashTable: concurrent writers (sync + async commits,
     // in-place overwrites, inserts, deletes) against concurrent readers
     // on overlapping keys.  Writers own disjoint key slices, so the

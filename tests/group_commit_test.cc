@@ -4,8 +4,9 @@
  * the relaxed-durability commit_async API: ticket semantics across
  * epoch retirement, sync() as a durability barrier over multiple open
  * epochs, tickets outliving their issuing thread via log-lease
- * recycling, whole-epoch recovery, fence amortization, and the tiny-log
- * backoff/truncator interaction regression.
+ * recycling, whole-epoch recovery, fence amortization, the sealing
+ * contract (explicit waits seal at once, sync commits linger), and the
+ * tiny-log backoff/truncator interaction regression.
  */
 
 #include <gtest/gtest.h>
@@ -16,12 +17,15 @@
 
 #include "mtm/group_commit.h"
 #include "mtm/txn_manager.h"
+#include "obs/obs.h"
+#include "obs/stats_registry.h"
 #include "runtime/runtime.h"
 #include "scm/scm.h"
 #include "tests/test_util.h"
 
 namespace scm = mnemosyne::scm;
 namespace mtm = mnemosyne::mtm;
+namespace obs = mnemosyne::obs;
 using mnemosyne::Runtime;
 using mnemosyne::RuntimeConfig;
 using mnemosyne::test::TempDir;
@@ -61,6 +65,17 @@ pvar(Runtime &rt, const std::string &name)
 {
     return static_cast<uint64_t *>(
         rt.regions().pstaticVar(name, sizeof(uint64_t), nullptr));
+}
+
+/** Exact value of the stats counter @p key, from a registry snapshot. */
+uint64_t
+statCounter(const std::string &key)
+{
+    const std::string snap = obs::StatsRegistry::instance().jsonSnapshot();
+    const std::string pat = "\"" + key + "\":";
+    const size_t at = snap.find(pat);
+    return at == std::string::npos ? 0
+                                   : std::stoull(snap.substr(at + pat.size()));
 }
 
 } // namespace
@@ -253,6 +268,59 @@ TEST(GroupCommit, CombinerAmortizesFences)
     EXPECT_LT(per_txn, 1.0) << "combiner failed to amortize fences";
     EXPECT_GT(uint64_t(kThreads) * kTxns, rt.txns().combiner()->rounds())
         << "no round ever batched more than one member";
+}
+
+TEST(GroupCommit, ExplicitWaitsSealAtOnce)
+{
+    // The sealing contract, pinned by an exact count rather than wall
+    // time: while a second thread holds an idle log lease (the signal
+    // that makes a synchronous commit linger for peers), wait(ticket)
+    // and sync() still seal the open epoch at once and take no grace
+    // nap.  Synchronous atomic{} commits keep lingering.
+    if (!MNEMOSYNE_OBS)
+        GTEST_SKIP() << "needs the obs counters";
+    const bool statsWereOn = obs::enabled();
+    obs::setEnabled(true);
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(gcCfg(dir.path()));
+    uint64_t *x = pvar(rt, "x");
+    uint64_t *y = pvar(rt, "y");
+    // Only this thread's waits may seal the epochs below.
+    rt.txns().pauseTruncation();
+
+    std::atomic<bool> leased{false};
+    std::atomic<bool> release{false};
+    std::thread peer([&] {
+        rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(y, 1); });
+        leased = true;
+        while (!release)
+            std::this_thread::yield();
+    });
+    while (!leased)
+        std::this_thread::yield();
+
+    const uint64_t naps0 = statCounter("mtm.epoch_grace_naps");
+    auto t = rt.atomicAsync([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 1); });
+    ASSERT_TRUE(t.pending());
+    rt.wait(t);
+    EXPECT_EQ(*x, 1u);
+    (void)rt.atomicAsync([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 2); });
+    rt.sync();
+    EXPECT_EQ(*x, 2u);
+    EXPECT_EQ(statCounter("mtm.epoch_grace_naps"), naps0)
+        << "an explicit wait napped before sealing";
+
+    for (int i = 0; i < 4; ++i)
+        rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 3 + i); });
+    EXPECT_EQ(*x, 6u);
+    EXPECT_GT(statCounter("mtm.epoch_grace_naps"), naps0)
+        << "synchronous commits stopped lingering for their peer";
+
+    release = true;
+    peer.join();
+    obs::setEnabled(statsWereOn);
 }
 
 TEST(GroupCommit, TinyLogBackoffNudgesTruncator)

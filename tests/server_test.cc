@@ -2,13 +2,19 @@
  * @file
  * Tests for the networked KV service: protocol codec round-trips, an
  * in-process server exercised through real sockets (sync ops, deep
- * pipelining with FIFO acks, batch transactions, STAT), shutdown
- * draining, and the relaxed-durability API of PHashTable that the
- * worker pool relies on.
+ * pipelining with FIFO acks, batch transactions, STAT, per-connection
+ * backpressure), shutdown draining, and the relaxed-durability API of
+ * PHashTable that the event loops rely on.
  */
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,7 +276,7 @@ TEST(KvServer, StatReturnsCounters)
 
 TEST(KvServer, ManyConnectionsConcurrently)
 {
-    ServerFixture f({.io_threads = 2, .workers = 4});
+    ServerFixture f({.workers = 4});
     constexpr int kConns = 16;
     constexpr int kOps = 40;
     std::vector<std::thread> ts;
@@ -293,6 +299,98 @@ TEST(KvServer, ManyConnectionsConcurrently)
     for (auto &th : ts)
         th.join();
     EXPECT_GE(f.server.requestsServed(), uint64_t(kConns) * (kOps + 1));
+}
+
+TEST(KvServer, BackpressurePausesOnlyTheFloodingConnection)
+{
+    // One loop serves both connections.  A pipelines a flood of PUTs
+    // and reads nothing: once its unsent responses pass the cap the loop
+    // must stop reading A (bounded memory) without ever blocking on A's
+    // socket, so B's round trips still complete.  Then A reads every
+    // response, in request order.
+    ServerFixture f({.workers = 1});
+    constexpr int kFlood = 300000;
+    // A small receive buffer, set before connecting so the advertised
+    // window honours it: the kernel cannot absorb the flood's responses
+    // on the server's behalf.
+    const int a = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(a, 0);
+    const int rcvbuf = 16 << 10;
+    setsockopt(a, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    // A stuck server fails the test instead of hanging it.
+    const timeval tv{30, 0};
+    setsockopt(a, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    setsockopt(a, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(f.server.port());
+    ASSERT_EQ(connect(a, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)),
+              0);
+    std::vector<uint8_t> flood;
+    for (int i = 0; i < kFlood; ++i)
+        srv::appendRequest(flood, uint64_t(i), srv::Op::kPut,
+                           "flood" + std::to_string(i % 64),
+                           "v" + std::to_string(i));
+    std::atomic<bool> sent{false};
+    std::thread writer([&] {
+        size_t off = 0;
+        while (off < flood.size()) {
+            const ssize_t n = write(a, flood.data() + off, flood.size() - off);
+            if (n <= 0)
+                return;
+            off += size_t(n);
+        }
+        sent = true;
+    });
+
+    // Wait until the server stops making progress on A.
+    uint64_t served = 0;
+    for (int still = 0; still < 10;) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const uint64_t now = f.server.requestsServed();
+        still = now == served ? still + 1 : 0;
+        served = now;
+    }
+    EXPECT_LT(served, uint64_t(kFlood)) << "the loop never paused A";
+
+    // B shares A's loop; a loop stuck on A would time these out.
+    srv::KvClient b;
+    ASSERT_TRUE(b.connect("127.0.0.1", f.server.port()));
+    setsockopt(b.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    for (int i = 0; i < 100; ++i) {
+        const std::string key = "b" + std::to_string(i);
+        ASSERT_EQ(b.put(key, "w" + std::to_string(i)), srv::Status::kOk);
+        std::string v;
+        ASSERT_EQ(b.get(key, &v), srv::Status::kOk);
+        EXPECT_EQ(v, "w" + std::to_string(i));
+    }
+
+    std::vector<uint8_t> in;
+    size_t off = 0;
+    for (uint64_t want = 0; want < uint64_t(kFlood);) {
+        const size_t avail = in.size() - off;
+        uint32_t len = 0;
+        if (avail >= 4 && avail >= 4 + size_t(len = srv::getU32(&in[off]))) {
+            srv::ResponseView r;
+            ASSERT_TRUE(srv::parseResponse(&in[off + 4], len, &r));
+            ASSERT_EQ(r.id, want++) << "response out of order";
+            ASSERT_EQ(r.status, srv::Status::kOk);
+            off += 4 + size_t(len);
+            continue;
+        }
+        uint8_t chunk[64 * 1024];
+        const ssize_t n = read(a, chunk, sizeof(chunk));
+        ASSERT_GT(n, 0) << "flood connection closed early";
+        in.insert(in.end(), chunk, chunk + n);
+    }
+    writer.join();
+    close(a);
+    EXPECT_TRUE(sent);
+    std::string v;
+    ASSERT_EQ(b.get("flood" + std::to_string((kFlood - 1) % 64), &v),
+              srv::Status::kOk);
+    EXPECT_EQ(v, "v" + std::to_string(kFlood - 1));
 }
 
 TEST(KvServer, StopDrainsPipelinedWrites)

@@ -57,7 +57,7 @@ def run_seed(kvd, perf, seed, kill_after, keep_dir=None):
         if os.path.exists(port_file):
             os.unlink(port_file)
         cmd = [kvd, "--dir", data_dir, "--port", "0",
-               "--port-file", port_file, "--io", "2", "--workers", "4",
+               "--port-file", port_file, "--workers", "4",
                "--heap-mb", "128"] + list(extra)
         return subprocess.Popen(cmd, stdout=subprocess.PIPE,
                                 stderr=subprocess.STDOUT, text=True)

@@ -3,15 +3,16 @@
  * mn_kvd: the networked durable KV daemon (DESIGN.md §10).
  *
  * Binds the KvServer to 127.0.0.1, serves until SIGINT/SIGTERM (or
- * --seconds), then stops gracefully: drain workers, sync(), drain the
- * truncator — a clean stop leaves zero unreplayed log, which the smoke
- * test asserts by restarting and checking "replayed 0".
+ * --seconds), then stops gracefully: the event loops flush what they
+ * answered, then sync() and drain the truncator — a clean stop leaves
+ * zero unreplayed log, which the smoke test asserts by restarting and
+ * checking "replayed 0".
  *
  * Durability is real across SIGKILL: regions are file-backed MAP_SHARED
  * mappings, so acknowledged (fenced) writes survive process death and
  * the next start replays the redo log into a consistent state.
  *
- *   mn_kvd --dir /tmp/kv --port 0 --io 2 --workers 8
+ *   mn_kvd --dir /tmp/kv --port 0 --workers 4
  *
  * Prints exactly one line per lifecycle event so scripts can scrape:
  *   mn_kvd: recovered (replayed N txns)
@@ -55,8 +56,9 @@ usage()
         "  --dir D             region backing dir (default /tmp/mn_kvd)\n"
         "  --port P            TCP port, 0 = ephemeral (default 0)\n"
         "  --port-file F       write the bound port to F\n"
-        "  --io N              IO/event-loop threads (default 2)\n"
-        "  --workers M         transaction worker threads (default 8)\n"
+        "  --io N              ignored (accepted for old scripts)\n"
+        "  --workers M         event loops, each running its connections'\n"
+        "                      requests to completion (default 8)\n"
         "  --buckets N         hash-table buckets (default 65536)\n"
         "  --heap-mb M         persistent heap size (default 256)\n"
         "  --seconds S         exit after S seconds (default: run until "
@@ -74,7 +76,6 @@ main(int argc, char **argv)
     std::string dir = "/tmp/mn_kvd";
     std::string port_file;
     uint16_t port = 0;
-    int io_threads = 2;
     int workers = 8;
     size_t nbuckets = 1 << 16;
     size_t heap_mb = 256;
@@ -96,7 +97,7 @@ main(int argc, char **argv)
         else if (a == "--port-file")
             port_file = next();
         else if (a == "--io")
-            io_threads = std::atoi(next());
+            (void)next();
         else if (a == "--workers")
             workers = std::atoi(next());
         else if (a == "--buckets")
@@ -140,7 +141,7 @@ main(int argc, char **argv)
     cfg.txn.truncation = mtm::Truncation::kAsync;
     cfg.txn.group_commit = group_commit;
     // One live log slot per thread that might run transactions.
-    cfg.txn.log_slots = size_t(workers + io_threads + 8);
+    cfg.txn.log_slots = size_t(workers + 8);
     cfg.txn.log_slot_bytes = 4 << 20;
 
     Runtime rt(cfg);
@@ -150,7 +151,6 @@ main(int argc, char **argv)
 
     server::KvServerConfig scv;
     scv.port = port;
-    scv.io_threads = io_threads;
     scv.workers = workers;
     scv.nbuckets = nbuckets;
     server::KvServer srv(rt, scv);

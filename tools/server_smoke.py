@@ -46,7 +46,7 @@ def start_kvd(kvd, workdir, port_file, extra=()):
     if os.path.exists(port_file):
         os.unlink(port_file)
     cmd = [kvd, "--dir", workdir, "--port", "0", "--port-file", port_file,
-           "--io", "2", "--workers", "4", "--heap-mb", "128"]
+           "--workers", "4", "--heap-mb", "128"]
     cmd += list(extra)
     return subprocess.Popen(cmd, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True)
