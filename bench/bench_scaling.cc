@@ -57,7 +57,7 @@
 
 #include "bench/bench_util.h"
 #include "mtm/txn_manager.h"
-#include "obs/trace_ring.h"
+#include "obs/flight_recorder.h"
 #include "runtime/runtime.h"
 
 namespace bench = mnemosyne::bench;

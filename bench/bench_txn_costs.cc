@@ -179,8 +179,6 @@ runUpdateTxnMeasurement()
         for (uint64_t i = 0; i < kWarmup; ++i)
             update_txn(i);
 
-        const auto &reg = mnemosyne::obs::StatsRegistry::instance();
-        const std::string before = reg.jsonSnapshot();
         const scm::ScmStats s0 = ctx.statsSnapshot();
         mnemosyne::obs::Phase phase("update_txn");
         bench::Timer timer;
@@ -189,13 +187,25 @@ runUpdateTxnMeasurement()
         const double secs = timer.s();
         const auto interval = phase.finish();
         const scm::ScmStats s1 = ctx.statsSnapshot();
-        const std::string after = reg.jsonSnapshot();
+
+        // Log counters come from an untimed pass of the same shape with
+        // the stats gate on.
+        constexpr uint64_t kCountTxns = 20000;
+        std::string before, after;
+        {
+            const bench::ScopedStatsOn stats;
+            const auto &reg = mnemosyne::obs::StatsRegistry::instance();
+            before = reg.jsonSnapshot();
+            for (uint64_t i = 0; i < kCountTxns; ++i)
+                update_txn(i);
+            after = reg.jsonSnapshot();
+        }
 
         const double n = double(kTxns);
         const double ops = n / secs;
         auto delta = [&](const char *key) {
             return (bench::statValue(after, key) -
-                    bench::statValue(before, key)) / n;
+                    bench::statValue(before, key)) / double(kCountTxns);
         };
         metrics.emplace_back("fences_per_txn",
                              double(s1.fences - s0.fences) / n);
@@ -329,10 +339,14 @@ runPersistPathMeasurement()
         };
         for (uint64_t i = 0; i < 512; ++i)
             clustered_txn(i);
-        const std::string before = reg.jsonSnapshot();
-        for (uint64_t i = 0; i < kTxns; ++i)
-            clustered_txn(i);
-        const std::string after = reg.jsonSnapshot();
+        std::string before, after;
+        {
+            const bench::ScopedStatsOn stats;
+            before = reg.jsonSnapshot();
+            for (uint64_t i = 0; i < kTxns; ++i)
+                clustered_txn(i);
+            after = reg.jsonSnapshot();
+        }
         auto delta = [&](const char *key) {
             return (bench::statValue(after, key) -
                     bench::statValue(before, key)) / double(kTxns);

@@ -191,6 +191,25 @@ statValue(const std::string &json, const std::string &key)
 }
 
 /**
+ * Stats gate on for a scope, restored after.  Registered counters drop
+ * increments while MNEMOSYNE_STATS is off, so a pass whose counters a
+ * benchmark reads runs inside one; timed loops stay outside, so they
+ * measure the same thing with or without MNEMOSYNE_STATS.
+ */
+class ScopedStatsOn
+{
+  public:
+    ScopedStatsOn() : was_(obs::enabled()) { obs::setEnabled(true); }
+    ~ScopedStatsOn() { obs::setEnabled(was_); }
+
+    ScopedStatsOn(const ScopedStatsOn &) = delete;
+    ScopedStatsOn &operator=(const ScopedStatsOn &) = delete;
+
+  private:
+    bool was_;
+};
+
+/**
  * Emit one machine-readable result line when MNEMOSYNE_STATS is on:
  *
  *   {"bench":"<name>","metrics":{...},"stats":{"scm.fences":31,...}}
@@ -228,7 +247,7 @@ emitStatsJson(
  * One formatted percentile row for an HDR histogram key out of a
  * phase diff — exact *interval* percentiles, since Phase subtracts raw
  * bucket arrays, not derived quantiles.  Empty string when the
- * interval recorded nothing (key absent, sampling missed, MN_OBS=OFF).
+ * interval recorded nothing (key absent, sampling missed, stats off).
  */
 inline std::string
 hdrRow(const obs::PhaseResult &r, const std::string &key)

@@ -11,7 +11,7 @@
 
 #include "crash/crash_harness.h"
 #include "obs/flight_recorder.h"
-#include "obs/obs.h"
+#include "obs/hdr_histogram.h"
 
 namespace mnemosyne::crash {
 
@@ -21,7 +21,7 @@ struct SweepCounters {
     obs::Counter events{"sweep.events_enumerated"};
     obs::Counter trials{"sweep.trials"};
     obs::Counter failures{"sweep.failures"};
-    obs::Histogram recovery{"sweep.recovery_ns"};
+    obs::HdrHistogram recovery{"sweep.recovery_ns"};
 };
 
 SweepCounters &

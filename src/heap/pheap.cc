@@ -6,7 +6,6 @@
 
 #include "obs/obs.h"
 #include "obs/stats_registry.h"
-#include "obs/trace_ring.h"
 
 namespace mnemosyne::heap {
 
@@ -88,7 +87,6 @@ PHeap::pmalloc(size_t size, void *pptr)
     auto **slot = static_cast<void **>(pptr);
     ctrs().pmallocs.add(1);
     ctrs().bytes_requested.add(size);
-    obs::TraceRing::instance().record(obs::TraceEv::kHeapAlloc, size);
     if (size <= SuperblockHeap::kMaxBlock) {
         if (small_->allocate(size, slot))
             return;
@@ -110,8 +108,6 @@ PHeap::pfree(void *pptr)
     void *p = *slot;
     assert(p != nullptr && "pfree of null pointer");
     ctrs().pfrees.add(1);
-    obs::TraceRing::instance().record(obs::TraceEv::kHeapFree,
-                                      uintptr_t(p));
     if (small_->owns(p)) {
         small_->free(slot);
     } else if (big_->owns(p)) {

@@ -7,7 +7,6 @@
 
 #include "obs/hdr_histogram.h"
 #include "obs/obs.h"
-#include "obs/trace_ring.h"
 #include "scm/scm.h"
 
 namespace mnemosyne::log {
@@ -230,8 +229,6 @@ Rawl::tryAppend(const uint64_t *words, size_t n)
     ctrs().append_words.add(stage_.size());
     if (old_tail / capacity_ != tail_ / capacity_)
         ctrs().pass_flips.add(1);
-    obs::TraceRing::instance().record(obs::TraceEv::kLogAppend, n,
-                                      stage_.size());
     return true;
 }
 
@@ -264,24 +261,16 @@ Rawl::append(const uint64_t *words, size_t n)
         if (tryAppend(words, n))
             break;
     }
-    if (t0) {
-        const uint64_t stall_ns = obs::nowNs() - t0;
-        ctrs().append_stall_ns.record(stall_ns);
-        obs::TraceRing::instance().record(obs::TraceEv::kLogAppend, n,
-                                          /*stalled=*/1, stall_ns);
-    }
+    if (t0)
+        ctrs().append_stall_ns.record(obs::nowNs() - t0);
 }
 
 void
 Rawl::flush()
 {
-    auto &ring = obs::TraceRing::instance();
-    const uint64_t t0 = ring.enabled() ? obs::nowNs() : 0;
     scm::ctx().fence();
     flushedShadow_.store(tail_, std::memory_order_release);
     ctrs().flushes.add(1);
-    ring.record(obs::TraceEv::kLogFlush, tail_, 0,
-                t0 ? obs::nowNs() - t0 : 0);
 }
 
 void
@@ -363,16 +352,11 @@ void
 Rawl::consumeTo(Cursor c, bool do_fence)
 {
     auto &ctx = scm::ctx();
-    auto &ring = obs::TraceRing::instance();
-    const uint64_t t0 = ring.enabled() ? obs::nowNs() : 0;
-    const uint64_t freed = c.pos - headShadow_.load(std::memory_order_acquire);
     ctx.wtstoreT(&hdr_->headAbs, c.pos);
     if (do_fence)
         ctx.fence();
     headShadow_.store(c.pos, std::memory_order_release);
     ctrs().truncations.add(1);
-    ring.record(obs::TraceEv::kLogTruncate, c.pos, freed,
-                t0 ? obs::nowNs() - t0 : 0);
 }
 
 } // namespace mnemosyne::log

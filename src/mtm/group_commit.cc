@@ -9,7 +9,6 @@
 #include "mtm/txn.h"
 #include "obs/hdr_histogram.h"
 #include "obs/obs.h"
-#include "obs/trace_ring.h"
 #include "scm/scm.h"
 
 namespace mnemosyne::mtm {
@@ -26,7 +25,7 @@ struct EpochCounters {
      *  single flush correct for every producer's cached stores). */
     obs::Counter lines_deduped{"mtm.epoch_lines_deduped"};
     /** Members per sealed epoch — the fence-amortization factor. */
-    obs::Histogram batch{"mtm.epoch_batch"};
+    obs::HdrHistogram batch{"mtm.epoch_batch"};
     /** Sync-commit wait for epoch retirement (the fence is on another
      *  thread's clock now; this is what the caller actually pays). */
     obs::HdrHistogram wait_ns{"mtm.epoch_wait_ns"};
@@ -183,8 +182,6 @@ EpochCombiner::combineRound(std::unique_lock<std::mutex> &g)
     ctrs().seals.add(1);
     ctrs().members.add(members.size());
     ctrs().batch.record(members.size());
-    obs::TraceRing::instance().record(obs::TraceEv::kTxnCommit, e,
-                                      members.size());
 
     uint64_t marker_end = 0;
     try {

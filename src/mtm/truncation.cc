@@ -3,18 +3,18 @@
 #include <algorithm>
 
 #include "mtm/group_commit.h"
-#include "obs/obs.h"
-#include "obs/trace_ring.h"
+#include "obs/flight_recorder.h"
+#include "obs/hdr_histogram.h"
 #include "scm/scm.h"
 
 namespace mnemosyne::mtm {
 
 namespace {
 
-obs::Histogram &
+obs::HdrHistogram &
 asyncTruncHist()
 {
-    static obs::Histogram h{"mtm.async_trunc_ns"};
+    static obs::HdrHistogram h{"mtm.async_trunc_ns"};
     return h;
 }
 

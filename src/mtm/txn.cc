@@ -10,7 +10,6 @@
 #include "mtm/txn_manager.h"
 #include "obs/hdr_histogram.h"
 #include "obs/obs.h"
-#include "obs/trace_ring.h"
 #include "scm/scm.h"
 
 namespace mnemosyne::mtm {
@@ -38,10 +37,10 @@ wordsSavedCtr()
  *  compact encoding is off (live schema checks rely on presence). */
 [[maybe_unused]] obs::Counter &gWordsSavedEager = wordsSavedCtr();
 
-obs::Histogram &
+obs::HdrHistogram &
 syncTruncHist()
 {
-    static obs::Histogram h{"mtm.sync_trunc_ns"};
+    static obs::HdrHistogram h{"mtm.sync_trunc_ns"};
     return h;
 }
 
@@ -72,8 +71,6 @@ Txn::begin(uint64_t id, log::Rawl *log)
     active_ = true;
     flight_ = obs::FlightRecorder::instance().beginTxn(id_);
     flightDetail_ = flight_ != nullptr && flight_->sampled ? flight_ : nullptr;
-    obs::TraceRing::instance().record(obs::TraceEv::kTxnBegin, id_,
-                                      startTs_);
 }
 
 void
@@ -102,14 +99,12 @@ Txn::rollback()
     }
     for (auto it = abortHooks_.rbegin(); it != abortHooks_.rend(); ++it)
         (*it)();
-    const uint64_t id = id_;
     obs::FlightRecorder::instance().endTxn(flight_, obs::kFlightAborted,
                                            /*commit_ts=*/0);
     flight_ = nullptr;
     flightDetail_ = nullptr;
     reset();
     mgr_.nAborts_.add(1);
-    obs::TraceRing::instance().record(obs::TraceEv::kTxnAbort, id);
 }
 
 void
@@ -427,16 +422,13 @@ Txn::commit()
         // incremental validation; nothing to persist.
         for (auto &h : commitHooks_)
             h();
-        const uint64_t id = id_;
         obs::FlightRecorder::instance().endTxn(
             flight_, obs::kFlightCommitted | obs::kFlightReadOnly,
             /*commit_ts=*/0);
         flight_ = nullptr;
-    flightDetail_ = nullptr;
+        flightDetail_ = nullptr;
         reset();
         mgr_.nReadonly_.add(1);
-        obs::TraceRing::instance().record(obs::TraceEv::kTxnCommit, id,
-                                          /*readonly=*/1);
         return 0;
     }
 
@@ -516,15 +508,12 @@ Txn::commit()
                 if (commit_t0)
                     commitLatencyHist().recordAlways(
                         obs::ticksToNs(obs::tickNow() - commit_t0));
-                const uint64_t id = id_;
                 obs::FlightRecorder::instance().endTxn(
                     flight_, obs::kFlightCommitted, ts);
                 flight_ = nullptr;
                 flightDetail_ = nullptr;
                 reset();
                 mgr_.nCommits_.add(1);
-                obs::TraceRing::instance().record(obs::TraceEv::kTxnCommit,
-                                                  id, ts);
                 return epoch;
             }
             // Synchronous commit under group commit: wait for the epoch
@@ -615,14 +604,12 @@ Txn::commit()
     if (commit_t0)
         commitLatencyHist().recordAlways(
             obs::ticksToNs(obs::tickNow() - commit_t0));
-    const uint64_t id = id_;
     obs::FlightRecorder::instance().endTxn(flight_, obs::kFlightCommitted,
                                            ts);
     flight_ = nullptr;
     flightDetail_ = nullptr;
     reset();
     mgr_.nCommits_.add(1);
-    obs::TraceRing::instance().record(obs::TraceEv::kTxnCommit, id, ts);
     return 0; // durable on return
 }
 

@@ -303,10 +303,6 @@ TxnManager::begin()
     }
     tx->begin(nextTxnId_.fetch_add(1, std::memory_order_relaxed),
               threadLog());
-    // Relaxed-durability default: atomic() commits async, callers use
-    // sync() as the durability barrier.  atomicAsync() overrides to
-    // true after begin() regardless.
-    tx->asyncCommit_ = cfg_.group_commit && cfg_.commit_async_default;
     return *tx;
 }
 

@@ -58,8 +58,6 @@ struct TxnConfig {
     /** Epoch retirement latency bound for unwaited (async) tickets:
      *  the truncator polls the combiner at this interval. */
     uint64_t epoch_timeout_us = 100;
-    /** atomic() commits async by default (callers use sync()). */
-    bool commit_async_default = false;
 };
 
 /**

@@ -1,23 +1,17 @@
 #include "obs/emitter.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#define MNEMOSYNE_EMITTER_SOCKETS 1
-#else
-#define MNEMOSYNE_EMITTER_SOCKETS 0
-#endif
 
 #include "obs/flight_recorder.h"
 #include "obs/phase.h"
@@ -25,9 +19,11 @@
 
 namespace mnemosyne::obs {
 
-#if MNEMOSYNE_OBS
-
 namespace {
+
+/** Longest command line a client may send without a newline; the
+ *  longest real command ("flight N") is under 32 bytes. */
+constexpr size_t kMaxLineBytes = 4096;
 
 std::atomic<bool> gSigusr2{false};
 
@@ -41,7 +37,6 @@ sigusr2Handler(int)
 void
 installSigusr2()
 {
-#if MNEMOSYNE_EMITTER_SOCKETS
     static std::once_flag once;
     std::call_once(once, [] {
         struct sigaction sa;
@@ -51,7 +46,6 @@ installSigusr2()
         sa.sa_flags = SA_RESTART;
         sigaction(SIGUSR2, &sa, nullptr);
     });
-#endif
 }
 
 } // namespace
@@ -72,7 +66,6 @@ StatsEmitter::start(int port)
     if (running())
         return true;
 
-#if MNEMOSYNE_EMITTER_SOCKETS
     listenFd_ = -1;
     if (port >= 0) {
         const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -99,9 +92,6 @@ StatsEmitter::start(int port)
         port_.store(ntohs(addr.sin_port), std::memory_order_release);
         listenFd_ = fd;
     }
-#else
-    (void)port;
-#endif
 
     installSigusr2();
     stop_.store(false, std::memory_order_release);
@@ -121,19 +111,16 @@ StatsEmitter::stop()
     if (thread_.joinable())
         thread_.join();
     running_.store(false, std::memory_order_release);
-#if MNEMOSYNE_EMITTER_SOCKETS
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-#endif
     port_.store(0, std::memory_order_release);
 }
 
 void
 StatsEmitter::run()
 {
-#if MNEMOSYNE_EMITTER_SOCKETS
     while (!stop_.load(std::memory_order_acquire)) {
         if (gSigusr2.exchange(false, std::memory_order_acq_rel) ||
             dumpRequested_.exchange(false, std::memory_order_acq_rel))
@@ -156,13 +143,7 @@ StatsEmitter::run()
         serveClient(client);
         ::close(client);
     }
-#else
-    while (!stop_.load(std::memory_order_acquire)) {
-    }
-#endif
 }
-
-#if MNEMOSYNE_EMITTER_SOCKETS
 
 void
 StatsEmitter::serveClient(int fd)
@@ -197,8 +178,8 @@ StatsEmitter::serveClient(int fd)
             reply += '\n';
             size_t off = 0;
             while (off < reply.size()) {
-                const ssize_t w =
-                    ::send(fd, reply.data() + off, reply.size() - off, 0);
+                const ssize_t w = ::send(fd, reply.data() + off,
+                                         reply.size() - off, MSG_NOSIGNAL);
                 if (w <= 0)
                     return;
                 off += size_t(w);
@@ -206,29 +187,20 @@ StatsEmitter::serveClient(int fd)
             if (close)
                 return;
         }
+        // A client that never sends a newline must not grow buf without
+        // bound: drop it once the partial line passes the cap.
+        if (buf.size() > kMaxLineBytes)
+            return;
     }
 }
-
-#else
-
-void
-StatsEmitter::serveClient(int)
-{
-}
-
-#endif // MNEMOSYNE_EMITTER_SOCKETS
 
 std::string
 StatsEmitter::respond(const std::string &line, bool &close)
 {
     if (line == "ping") {
         char buf[64];
-#if MNEMOSYNE_EMITTER_SOCKETS
         std::snprintf(buf, sizeof(buf), "{\"ok\":true,\"pid\":%d}",
                       int(::getpid()));
-#else
-        std::snprintf(buf, sizeof(buf), "{\"ok\":true,\"pid\":0}");
-#endif
         return buf;
     }
     if (line == "stats")
@@ -297,7 +269,5 @@ StatsEmitter::maybeStartFromEnv()
     if (enabled())
         instance().start(-1);
 }
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs

@@ -24,7 +24,7 @@
  * chosen port is printed to stderr and available from port()), or in
  * dump-only mode (no socket) when only MNEMOSYNE_STATS is set, so
  * SIGUSR2 works without the endpoint.  `tools/mn_stat` is the matching
- * client.  Under MN_OBS=OFF everything is a no-op stub.
+ * client.
  */
 
 #ifndef MNEMOSYNE_OBS_EMITTER_H_
@@ -33,13 +33,12 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "obs/obs.h"
 
 namespace mnemosyne::obs {
-
-#if MNEMOSYNE_OBS
 
 class StatsEmitter
 {
@@ -82,27 +81,6 @@ class StatsEmitter
     std::atomic<uint16_t> port_{0};
     int listenFd_ = -1;
 };
-
-#else // !MNEMOSYNE_OBS — compiled-out stub with identical surface
-
-class StatsEmitter
-{
-  public:
-    static StatsEmitter &
-    instance()
-    {
-        static StatsEmitter e;
-        return e;
-    }
-    bool start(int) { return false; }
-    void stop() {}
-    bool running() const { return false; }
-    uint16_t port() const { return 0; }
-    void requestDump() {}
-    static void maybeStartFromEnv() {}
-};
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs
 

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <tuple>
 
 namespace mnemosyne::obs {
 
@@ -33,16 +34,7 @@ spanName(Span s)
     return "?";
 }
 
-#if MNEMOSYNE_OBS
-
 namespace {
-
-bool
-flightEnvTruthy(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
 
 uint32_t
 sat32(uint64_t v)
@@ -183,7 +175,8 @@ FlightRecorder::FlightRecorder()
         if (n >= 0)
             trapStride_.store(uint32_t(n), std::memory_order_relaxed);
     }
-    if (flightEnvTruthy("MNEMOSYNE_FLIGHT"))
+    if (detail::envTruthy("MNEMOSYNE_FLIGHT") ||
+        std::getenv("MNEMOSYNE_TRACE_FILE") != nullptr)
         enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -462,6 +455,66 @@ FlightRecorder::json(size_t max_records) const
     return out;
 }
 
-#endif // MNEMOSYNE_OBS
+void
+FlightRecorder::setThreadName(const std::string &name)
+{
+    std::lock_guard<std::mutex> g(namesMu_);
+    threadNames_[uint32_t(threadOrdinal())] = name;
+}
+
+std::string
+FlightRecorder::chromeJson() const
+{
+    // Ring records, plus the slow-trap records no ring holds (unsampled
+    // ones, or sampled ones the ring has since overwritten).  A trapped
+    // record still in its ring is exported once, flagged slow.
+    std::vector<FlightRecord> recs = snapshot();
+    std::map<std::tuple<uint32_t, uint64_t, uint64_t>, size_t> inRing;
+    for (size_t i = 0; i < recs.size(); ++i)
+        inRing.emplace(std::tuple(recs[i].tid, recs[i].txn_id,
+                                  recs[i].begin_ns),
+                       i);
+    for (const FlightRecord &rec : slowest()) {
+        const auto it =
+            inRing.find(std::tuple(rec.tid, rec.txn_id, rec.begin_ns));
+        if (it != inRing.end())
+            recs[it->second].flags |= rec.flags;
+        else
+            recs.push_back(rec);
+    }
+
+    std::map<uint32_t, std::string> names;
+    {
+        std::lock_guard<std::mutex> g(namesMu_);
+        names = threadNames_;
+    }
+    for (const FlightRecord &rec : recs)
+        names.try_emplace(rec.tid, "thread " + std::to_string(rec.tid));
+
+    std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":["
+                      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+                      "\"tid\":0,\"args\":{\"name\":\"mnemosyne\"}}";
+    for (const auto &[tid, name] : names) {
+        out += ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
+               std::to_string(tid) + ",\"args\":{\"name\":\"" + name + "\"}}";
+    }
+    for (const FlightRecord &rec : recs) {
+        const char *name = (rec.flags & kFlightAborted)    ? "txn_abort"
+                           : (rec.flags & kFlightReadOnly) ? "txn_readonly"
+                                                           : "txn_commit";
+        char buf[192];
+        std::snprintf(buf, sizeof(buf),
+                      ",{\"name\":\"%s\",\"cat\":\"mtm\",\"ph\":\"X\","
+                      "\"pid\":1,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,"
+                      "\"args\":",
+                      name, rec.tid, double(rec.begin_ns) / 1e3,
+                      double(rec.total_ns) / 1e3);
+        out += buf;
+        appendRecordJson(out, rec);
+        out += "}";
+    }
+    out += "]}";
+    return out;
+}
 
 } // namespace mnemosyne::obs

@@ -36,11 +36,20 @@
  * Set trap_stride to 1 to time — and trap-check — every transaction
  * when overhead is no concern.
  *
+ * The recorder is also the process's event source for Chrome trace
+ * export: chromeJson() renders every ring and slow-trap record as one
+ * "X" (complete) event on its thread's track, with span durations and
+ * counts as args, led by thread_name metadata from
+ * setCurrentThreadName().  Load the file at ui.perfetto.dev or
+ * chrome://tracing.
+ *
  * Toggles: MNEMOSYNE_FLIGHT=1 enables, MNEMOSYNE_FLIGHT_SAMPLE=N sets
  * the sampling period (default 64; implies enable),
  * MNEMOSYNE_FLIGHT_RING=N sets per-thread ring capacity (default 256),
  * MNEMOSYNE_FLIGHT_TRAP_STRIDE=N times 1 in N unsampled transactions
- * for the slow trap (default 16; 0 disables trap timing).
+ * for the slow trap (default 16; 0 disables trap timing), and
+ * MNEMOSYNE_TRACE_FILE=f writes chromeJson() to f at Runtime shutdown
+ * (implies enable).
  */
 
 #ifndef MNEMOSYNE_OBS_FLIGHT_RECORDER_H_
@@ -50,6 +59,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -102,8 +112,6 @@ struct FlightRecord {
 /** Number of 64-bit words a FlightRecord packs into (seqlock payload). */
 inline constexpr size_t kFlightRecordWords =
     (sizeof(FlightRecord) + 7) / 8;
-
-#if MNEMOSYNE_OBS
 
 /**
  * Thread-local working area for the transaction in flight.  The txn
@@ -244,6 +252,15 @@ class FlightRecorder
 
     static std::string recordsJson(const std::vector<FlightRecord> &recs);
 
+    /** Label the calling thread in Chrome exports ("worker-3",
+     *  "async-trunc").  Unnamed threads export as "thread <ordinal>". */
+    void setThreadName(const std::string &name);
+
+    /** Chrome trace-event JSON ({"traceEvents":[...]}): process_name and
+     *  thread_name metadata, then one "X" event per ring record and per
+     *  slow-trap record not already in a ring. */
+    std::string chromeJson() const;
+
   private:
     struct Slot {
         std::atomic<uint64_t> seq{0}; ///< Even = stable, odd = writing.
@@ -283,6 +300,9 @@ class FlightRecorder
     std::vector<FlightRecord> slow_;     ///< Up to kSlowSlots.
     std::atomic<uint64_t> slowMin_{0};   ///< Admission threshold.
 
+    mutable std::mutex namesMu_;
+    std::map<uint32_t, std::string> threadNames_; ///< By thread ordinal.
+
     friend struct FlightThreadState;
 };
 
@@ -311,72 +331,12 @@ class SpanScope
     uint64_t t0_;
 };
 
-#else // !MNEMOSYNE_OBS — compiled-out stubs with identical surface
-
-struct FlightFrame {
-    uint64_t begin_tick = 0;
-    uint64_t begin_ns = 0;
-    uint64_t txn_id = 0;
-    uint64_t span_ticks[size_t(Span::kSpanCount)] = {};
-    uint32_t reads = 0;
-    uint32_t writes = 0;
-    uint32_t redo_words = 0;
-    uint32_t log_bytes = 0;
-    uint32_t fences = 0;
-    uint32_t flushes = 0;
-    bool sampled = false;
-    bool timed = false;
-    uint32_t txn_counter = 0;
-    uint32_t trap_counter = 0;
-};
-
-class FlightRecorder
+/** Convenience: name the calling thread for trace exports. */
+inline void
+setCurrentThreadName(const std::string &name)
 {
-  public:
-    static constexpr size_t kDefaultRingSlots = 256;
-    static constexpr size_t kSlowSlots = 16;
-    static constexpr uint32_t kDefaultTrapStride = 16;
-
-    static FlightRecorder &
-    instance()
-    {
-        static FlightRecorder r;
-        return r;
-    }
-
-    bool enabled() const { return false; }
-    void setEnabled(bool) {}
-    void setSampleEvery(uint32_t) {}
-    uint32_t sampleEvery() const { return 0; }
-    void setTrapStride(uint32_t) {}
-    uint32_t trapStride() const { return 0; }
-    FlightFrame *beginTxn(uint64_t) { return nullptr; }
-    void endTxn(FlightFrame *, uint32_t, uint64_t) {}
-    std::vector<FlightRecord> snapshot() const { return {}; }
-    std::vector<FlightRecord> threadSnapshot() const { return {}; }
-    std::vector<FlightRecord> slowest() const { return {}; }
-    uint64_t published() const { return 0; }
-    void clearThread() {}
-    void clearAll() {}
-    std::string json(size_t = 0) const
-    {
-        return "{\"records\":[],\"slow\":[]}";
-    }
-    static std::string recordsJson(const std::vector<FlightRecord> &)
-    {
-        return "[]";
-    }
-};
-
-class SpanScope
-{
-  public:
-    SpanScope(FlightFrame *, Span) {}
-    SpanScope(const SpanScope &) = delete;
-    SpanScope &operator=(const SpanScope &) = delete;
-};
-
-#endif // MNEMOSYNE_OBS
+    FlightRecorder::instance().setThreadName(name);
+}
 
 } // namespace mnemosyne::obs
 

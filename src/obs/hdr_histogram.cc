@@ -6,8 +6,6 @@
 
 namespace mnemosyne::obs {
 
-#if MNEMOSYNE_OBS
-
 HdrHistogram::HdrHistogram(const char *key)
     : key_(key), buckets_(HdrLayout::kBucketCount)
 {
@@ -61,6 +59,20 @@ HdrHistogram::reset()
         b.store(0, std::memory_order_relaxed);
 }
 
+void
+HdrHistogram::Data::record(uint64_t v)
+{
+    if (buckets.empty())
+        buckets.resize(HdrLayout::kBucketCount, 0);
+    ++count;
+    sum += v;
+    max = std::max(max, v);
+    if (v > HdrLayout::kMaxTrackable)
+        ++overflow;
+    else
+        ++buckets[HdrLayout::indexFor(v)];
+}
+
 uint64_t
 HdrHistogram::Data::quantile(double q) const
 {
@@ -112,7 +124,5 @@ HdrHistogram::Data::merge(const Data &other)
     for (size_t i = 0; i < other.buckets.size(); ++i)
         buckets[i] += other.buckets[i];
 }
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs

@@ -4,18 +4,17 @@
  * bounded relative error, exact mergeable bucket counts, and cheap
  * p50/p90/p95/p99/p999 extraction.
  *
- * The log2 Histogram (obs.h) buckets by power of two, so a "p99" can be
- * off by almost 2x — fine for order-of-magnitude costs (recovery
- * phases), useless for judging a group-commit change that moves p99
- * commit latency by 20%.  This histogram keeps kSubBits extra bits of
- * mantissa per power of two, bounding relative error to
- * 2^-kSubBits (~3.1% at 5 bits) across the whole range:
+ * A power-of-two bucket would put a "p99" off by almost 2x, useless for
+ * judging a group-commit change that moves p99 commit latency by 20%.
+ * This histogram keeps kSubBits extra bits of mantissa per power of
+ * two, bounding relative error to 2^-kSubBits (~3.1% at 5 bits) across
+ * the whole range:
  *
  *  - values below 2^(kSubBits+1) are counted exactly (one bucket per
  *    value);
  *  - above that, each power-of-two range splits into 2^kSubBits
  *    sub-buckets;
- *  - values at or above kMaxTrackable land in an explicit overflow
+ *  - values above kMaxTrackable land in an explicit overflow
  *    bucket (reported as <key>.overflow; quantiles that fall there
  *    saturate to kMaxTrackable).
  *
@@ -25,9 +24,9 @@
  * diffing (obs::Phase) computes exact percentiles *of the interval*, not
  * of the process lifetime, and shards merge by addition.
  *
- * Like Counter/Histogram, a named HdrHistogram self-registers with the
- * StatsRegistry; snapshots expand to
- * <key>.count/.sum/.p50/.p90/.p95/.p99/.p999/.max/.overflow.
+ * Like Counter, a named HdrHistogram self-registers with the
+ * StatsRegistry and drops record()s while stats are disabled; snapshots
+ * expand to <key>.count/.sum/.p50/.p90/.p95/.p99/.p999/.max/.overflow.
  */
 
 #ifndef MNEMOSYNE_OBS_HDR_HISTOGRAM_H_
@@ -86,20 +85,22 @@ struct HdrLayout {
     }
 };
 
-#if MNEMOSYNE_OBS
-
 class HdrHistogram
 {
   public:
     /** Plain value type: a detached snapshot of the bucket counts.
      *  Subtracts bucket-wise (interval percentiles) and merges by
-     *  addition (shard/thread aggregation). */
+     *  addition (shard/thread aggregation).  Also usable on its own as
+     *  a single-threaded, unregistered, ungated histogram. */
     struct Data {
         uint64_t count = 0;
         uint64_t sum = 0;
         uint64_t overflow = 0;
         uint64_t max = 0;
         std::vector<uint64_t> buckets;  ///< kBucketCount, or empty.
+
+        /** Count @p v (not thread-safe; no registry, no stats gate). */
+        void record(uint64_t v);
 
         /** Quantile in [0,1]; overflow counts as a final bucket that
          *  saturates to kMaxTrackable. */
@@ -114,7 +115,7 @@ class HdrHistogram
     };
 
     /** @p key must outlive the histogram (string literal); registers
-     *  with the StatsRegistry like Counter/Histogram. */
+     *  with the StatsRegistry like Counter. */
     explicit HdrHistogram(const char *key);
     ~HdrHistogram();
 
@@ -152,40 +153,6 @@ class HdrHistogram
     std::atomic<uint64_t> max_{0};
     std::vector<std::atomic<uint64_t>> buckets_;
 };
-
-#else // !MNEMOSYNE_OBS — compiled-out stub with identical surface
-
-class HdrHistogram
-{
-  public:
-    struct Data {
-        uint64_t count = 0;
-        uint64_t sum = 0;
-        uint64_t overflow = 0;
-        uint64_t max = 0;
-        std::vector<uint64_t> buckets;
-        uint64_t quantile(double) const { return 0; }
-        Data operator-(const Data &) const { return {}; }
-        void merge(const Data &) {}
-    };
-
-    explicit HdrHistogram(const char *key) : key_(key) {}
-    void record(uint64_t) {}
-    void recordAlways(uint64_t) {}
-    uint64_t count() const { return 0; }
-    uint64_t total() const { return 0; }
-    uint64_t overflow() const { return 0; }
-    uint64_t max() const { return 0; }
-    uint64_t quantile(double) const { return 0; }
-    Data data() const { return {}; }
-    void reset() {}
-    const char *key() const { return key_; }
-
-  private:
-    const char *key_;
-};
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs
 

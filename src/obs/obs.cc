@@ -17,8 +17,6 @@ nextThreadOrdinal()
     return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-namespace {
-
 bool
 envTruthy(const char *name)
 {
@@ -26,11 +24,7 @@ envTruthy(const char *name)
     return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
-} // namespace
-
-#if MNEMOSYNE_OBS
 std::atomic<bool> gEnabled{envTruthy("MNEMOSYNE_STATS")};
-#endif
 
 } // namespace detail
 
@@ -80,8 +74,6 @@ ticksToNs(uint64_t ticks)
     return uint64_t((u128(ticks) * q32) >> 32);
 }
 
-#if MNEMOSYNE_OBS
-
 void
 setEnabled(bool on)
 {
@@ -98,69 +90,5 @@ Counter::~Counter()
 {
     StatsRegistry::instance().remove(this);
 }
-
-Histogram::Histogram(const char *key) : key_(key)
-{
-    StatsRegistry::instance().add(this);
-}
-
-Histogram::~Histogram()
-{
-    StatsRegistry::instance().remove(this);
-}
-
-void
-Histogram::recordAlways(uint64_t v)
-{
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    const size_t idx = bucketIndex(v);
-    if (idx >= kBuckets)
-        overflow_.fetch_add(1, std::memory_order_relaxed);
-    else
-        buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t
-Histogram::quantile(double q) const
-{
-    const auto buckets = bucketsSnapshot();
-    uint64_t total = overflow_.load(std::memory_order_relaxed);
-    for (uint64_t b : buckets)
-        total += b;
-    if (total == 0)
-        return 0;
-    const uint64_t rank = uint64_t(double(total - 1) * q) + 1;
-    uint64_t seen = 0;
-    for (size_t i = 0; i < kBuckets; ++i) {
-        seen += buckets[i];
-        if (seen >= rank) {
-            // Upper bound of the bucket (saturating for the last one).
-            return i >= 63 ? UINT64_MAX : (uint64_t(2) << i) - 1;
-        }
-    }
-    return UINT64_MAX; // rank fell into the overflow bucket
-}
-
-std::array<uint64_t, Histogram::kBuckets>
-Histogram::bucketsSnapshot() const
-{
-    std::array<uint64_t, kBuckets> out;
-    for (size_t i = 0; i < kBuckets; ++i)
-        out[i] = buckets_[i].load(std::memory_order_relaxed);
-    return out;
-}
-
-void
-Histogram::reset()
-{
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    overflow_.store(0, std::memory_order_relaxed);
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-}
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs

@@ -1,17 +1,14 @@
 /**
  * @file
- * Observability core: lock-free, per-thread-sharded counters and
- * bucketed latency histograms for every layer of Figure 1.
+ * Observability core: lock-free, per-thread-sharded counters for every
+ * layer of Figure 1 (latency histograms live in hdr_histogram.h).
  *
  * Design goals (see DESIGN.md "Observability"):
  *
- *  - Near-zero overhead when disabled.  Two gates stack:
- *      * compile time: build with -DMNEMOSYNE_OBS=0 (cmake -DMN_OBS=OFF)
- *        and every registered counter/histogram/trace call compiles to
- *        nothing;
- *      * run time: the MNEMOSYNE_STATS environment variable (or
- *        setEnabled()) — when off, instrumented call sites cost one
- *        relaxed load and a predictable branch.
+ *  - Near-zero overhead when disabled: the MNEMOSYNE_STATS environment
+ *    variable (or setEnabled()) gates every registered counter and
+ *    histogram; when off, an instrumented call site costs one relaxed
+ *    load and a predictable branch.
  *  - Lock-free hot path.  A counter is an array of cache-line-sized
  *    shards; a thread increments the shard picked by its process-wide
  *    ordinal with one relaxed fetch_add, so concurrent writers never
@@ -21,9 +18,9 @@
  *    stale relative to in-flight increments.
  *
  * ShardedCounter is the always-on value type used by layers that expose
- * their own stats structs (ScmStats, TxnStats).  Counter / Histogram
- * are the registered, gated variants that feed the StatsRegistry JSON
- * snapshot (stats_registry.h).
+ * their own stats structs (ScmStats, TxnStats).  Counter is the
+ * registered, gated variant that feeds the StatsRegistry JSON snapshot
+ * (stats_registry.h).
  */
 
 #ifndef MNEMOSYNE_OBS_OBS_H_
@@ -31,13 +28,8 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-
-#ifndef MNEMOSYNE_OBS
-#define MNEMOSYNE_OBS 1
-#endif
 
 namespace mnemosyne::obs {
 
@@ -46,9 +38,9 @@ inline constexpr size_t kMaxThreadShards = 64;
 
 namespace detail {
 size_t nextThreadOrdinal();
-#if MNEMOSYNE_OBS
+/** True when environment variable @p name is set, non-empty and not "0". */
+bool envTruthy(const char *name);
 extern std::atomic<bool> gEnabled;
-#endif
 } // namespace detail
 
 /** Process-wide ordinal of the calling thread (0, 1, 2, ...). */
@@ -87,7 +79,6 @@ tickNow()
  *  process on first use). */
 uint64_t ticksToNs(uint64_t ticks);
 
-#if MNEMOSYNE_OBS
 /** Runtime toggle: seeded from MNEMOSYNE_STATS, overridable. */
 inline bool
 enabled()
@@ -95,10 +86,6 @@ enabled()
     return detail::gEnabled.load(std::memory_order_relaxed);
 }
 void setEnabled(bool on);
-#else
-inline constexpr bool enabled() { return false; }
-inline void setEnabled(bool) {}
-#endif
 
 /**
  * Always-on sharded counter (no registration, no runtime gate): the
@@ -151,8 +138,6 @@ class ShardedCounter
     std::array<Slot, kMaxThreadShards> slots_{};
 };
 
-#if MNEMOSYNE_OBS
-
 /**
  * A named counter registered with the StatsRegistry.  Increments are
  * dropped while stats are disabled, so counters reflect activity during
@@ -195,126 +180,6 @@ class Counter
     const bool breakdown_;
     ShardedCounter impl_;
 };
-
-/**
- * A registered power-of-two-bucketed histogram (bucket i covers values
- * in [2^i, 2^(i+1)), with 0 folded into bucket 0).  Intended for
- * latencies in nanoseconds; records are dropped while stats are
- * disabled.  Not sharded: histograms sit off the hot path (truncation
- * latency, recovery phases).
- *
- * The bucket array stops at 2^kBuckets (~3.2 days in ns): values at or
- * beyond the top bucket are counted in an explicit overflow bucket
- * (exposed as <key>.overflow in snapshots) instead of clamping
- * silently, and quantiles that land there saturate to UINT64_MAX.
- * Latencies that need tighter resolution than a power of two use
- * HdrHistogram (hdr_histogram.h).
- */
-class Histogram
-{
-  public:
-    static constexpr size_t kBuckets = 48;
-
-    explicit Histogram(const char *key);
-    ~Histogram();
-
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
-
-    void
-    record(uint64_t v)
-    {
-        if (enabled())
-            recordAlways(v);
-    }
-
-    void recordAlways(uint64_t v);
-
-    /** Bucket that value @p v falls into. */
-    static size_t
-    bucketIndex(uint64_t v)
-    {
-        return v == 0 ? 0 : size_t(std::bit_width(v)) - 1;
-    }
-
-    /** Smallest value belonging to bucket @p i. */
-    static uint64_t
-    bucketLowerBound(size_t i)
-    {
-        return i == 0 ? 0 : uint64_t(1) << i;
-    }
-
-    uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-    uint64_t total() const { return sum_.load(std::memory_order_relaxed); }
-
-    /** Records at or beyond bucketLowerBound(kBuckets). */
-    uint64_t
-    overflow() const
-    {
-        return overflow_.load(std::memory_order_relaxed);
-    }
-
-    /** Approximate quantile (upper bound of the containing bucket;
-     *  ranks in the overflow bucket saturate to UINT64_MAX). */
-    uint64_t quantile(double q) const;
-
-    std::array<uint64_t, kBuckets> bucketsSnapshot() const;
-    void reset();
-    const char *key() const { return key_; }
-
-  private:
-    const char *key_;
-    std::atomic<uint64_t> count_{0};
-    std::atomic<uint64_t> sum_{0};
-    std::atomic<uint64_t> overflow_{0};
-    std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-};
-
-#else // !MNEMOSYNE_OBS — compiled-out stubs with identical surface
-
-class Counter
-{
-  public:
-    explicit Counter(const char *key, bool = false) : key_(key) {}
-    void add(uint64_t = 1) {}
-    uint64_t value() const { return 0; }
-    void reset() {}
-    const char *key() const { return key_; }
-    bool breakdown() const { return false; }
-    std::array<uint64_t, kMaxThreadShards> perShard() const { return {}; }
-
-  private:
-    const char *key_;
-};
-
-class Histogram
-{
-  public:
-    static constexpr size_t kBuckets = 48;
-    explicit Histogram(const char *key) : key_(key) {}
-    void record(uint64_t) {}
-    void recordAlways(uint64_t) {}
-    static size_t bucketIndex(uint64_t v)
-    {
-        return v == 0 ? 0 : size_t(std::bit_width(v)) - 1;
-    }
-    static uint64_t bucketLowerBound(size_t i)
-    {
-        return i == 0 ? 0 : uint64_t(1) << i;
-    }
-    uint64_t count() const { return 0; }
-    uint64_t total() const { return 0; }
-    uint64_t overflow() const { return 0; }
-    uint64_t quantile(double) const { return 0; }
-    std::array<uint64_t, kBuckets> bucketsSnapshot() const { return {}; }
-    void reset() {}
-    const char *key() const { return key_; }
-
-  private:
-    const char *key_;
-};
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs
 

@@ -5,8 +5,6 @@
 
 namespace mnemosyne::obs {
 
-#if MNEMOSYNE_OBS
-
 uint64_t
 PhaseResult::value(const std::string &key) const
 {
@@ -198,7 +196,5 @@ PhaseLog::clear()
     std::lock_guard<std::mutex> g(mu_);
     results_.clear();
 }
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs

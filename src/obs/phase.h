@@ -17,9 +17,6 @@
  * subtract — bucket counts do).  Finished phases are also appended to
  * the global PhaseLog, which benches and the crash sweeper dump as
  * JSON ("phases" command on the stats emitter).
- *
- * Like the rest of the obs layer, everything here compiles to no-op
- * stubs under MN_OBS=OFF.
  */
 
 #ifndef MNEMOSYNE_OBS_PHASE_H_
@@ -35,8 +32,6 @@
 #include "obs/stats_registry.h"
 
 namespace mnemosyne::obs {
-
-#if MNEMOSYNE_OBS
 
 /** The diff between a phase's two endpoint snapshots. */
 struct PhaseResult {
@@ -101,64 +96,6 @@ class Phase
 PhaseResult diffSnapshots(std::string name,
                           const StatsRegistry::RawSnapshot &begin,
                           const StatsRegistry::RawSnapshot &end);
-
-#else // !MNEMOSYNE_OBS — compiled-out stubs with identical surface
-
-struct PhaseResult {
-    std::string name;
-    uint64_t wall_ns = 0;
-    std::map<std::string, Sink::Value> scalars;
-    std::map<std::string, HdrHistogram::Data> hdrs;
-    uint64_t value(const std::string &) const { return 0; }
-    double valueF(const std::string &) const { return 0.0; }
-    uint64_t hdrQuantile(const std::string &, double) const { return 0; }
-    uint64_t hdrCount(const std::string &) const { return 0; }
-    std::string json() const { return "{}"; }
-};
-
-class PhaseLog
-{
-  public:
-    static PhaseLog &
-    instance()
-    {
-        static PhaseLog log;
-        return log;
-    }
-    void record(PhaseResult) {}
-    std::vector<PhaseResult> results() const { return {}; }
-    std::string json() const { return "{\"phases\":[]}"; }
-    void clear() {}
-};
-
-class Phase
-{
-  public:
-    explicit Phase(std::string name) : name_(std::move(name)) {}
-    PhaseResult
-    finish()
-    {
-        PhaseResult r;
-        r.name = name_;
-        return r;
-    }
-    Phase(const Phase &) = delete;
-    Phase &operator=(const Phase &) = delete;
-
-  private:
-    std::string name_;
-};
-
-inline PhaseResult
-diffSnapshots(std::string name, const StatsRegistry::RawSnapshot &,
-              const StatsRegistry::RawSnapshot &)
-{
-    PhaseResult r;
-    r.name = std::move(name);
-    return r;
-}
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace mnemosyne::obs
 

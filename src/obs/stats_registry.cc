@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/trace_ring.h"
+#include "obs/flight_recorder.h"
 
 namespace mnemosyne::obs {
 
@@ -63,20 +63,6 @@ StatsRegistry::remove(Counter *c)
 }
 
 void
-StatsRegistry::add(Histogram *h)
-{
-    std::lock_guard<std::mutex> g(mu_);
-    histograms_.push_back(h);
-}
-
-void
-StatsRegistry::remove(Histogram *h)
-{
-    std::lock_guard<std::mutex> g(mu_);
-    std::erase(histograms_, h);
-}
-
-void
 StatsRegistry::add(HdrHistogram *h)
 {
     std::lock_guard<std::mutex> g(mu_);
@@ -106,28 +92,26 @@ StatsRegistry::removeSource(uint64_t token)
     sources_.erase(token);
 }
 
+StatsRegistry::Members
+StatsRegistry::members() const
+{
+    Members m;
+    std::lock_guard<std::mutex> g(mu_);
+    m.counters = counters_;
+    m.hdrs = hdrs_;
+    m.sources.reserve(sources_.size());
+    for (const auto &[token, fn] : sources_) {
+        (void)token;
+        m.sources.push_back(fn);
+    }
+    return m;
+}
+
 void
 StatsRegistry::collect(Sink &sink) const
 {
-    // Copy the registration lists so source callbacks can run without
-    // the registry lock held (a source may construct a counter).
-    std::vector<Counter *> counters;
-    std::vector<Histogram *> histograms;
-    std::vector<HdrHistogram *> hdrs;
-    std::vector<Source> sources;
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        counters = counters_;
-        histograms = histograms_;
-        hdrs = hdrs_;
-        sources.reserve(sources_.size());
-        for (const auto &[token, fn] : sources_) {
-            (void)token;
-            sources.push_back(fn);
-        }
-    }
-
-    for (const Counter *c : counters) {
+    const Members m = members();
+    for (const Counter *c : m.counters) {
         sink.emit(c->key(), c->value());
         if (c->breakdown()) {
             const auto shards = c->perShard();
@@ -137,15 +121,7 @@ StatsRegistry::collect(Sink &sink) const
             sink.emitArray(std::string(c->key()) + ".per_thread", v);
         }
     }
-    for (const Histogram *h : histograms) {
-        const std::string key = h->key();
-        sink.emit(key + ".count", h->count());
-        sink.emit(key + ".sum", h->total());
-        sink.emit(key + ".p50", h->quantile(0.50));
-        sink.emit(key + ".p99", h->quantile(0.99));
-        sink.emit(key + ".overflow", h->overflow());
-    }
-    for (const HdrHistogram *h : hdrs) {
+    for (const HdrHistogram *h : m.hdrs) {
         const std::string key = h->key();
         const HdrHistogram::Data d = h->data();
         sink.emit(key + ".count", d.count);
@@ -158,7 +134,7 @@ StatsRegistry::collect(Sink &sink) const
         sink.emit(key + ".max", d.max);
         sink.emit(key + ".overflow", d.overflow);
     }
-    for (const Source &src : sources)
+    for (const Source &src : m.sources)
         src(sink);
 }
 
@@ -168,38 +144,17 @@ StatsRegistry::rawSnapshot() const
     RawSnapshot snap;
     snap.when_ns = nowNs();
 
-    std::vector<Counter *> counters;
-    std::vector<Histogram *> histograms;
-    std::vector<HdrHistogram *> hdrs;
-    std::vector<Source> sources;
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        counters = counters_;
-        histograms = histograms_;
-        hdrs = hdrs_;
-        sources.reserve(sources_.size());
-        for (const auto &[token, fn] : sources_) {
-            (void)token;
-            sources.push_back(fn);
-        }
-    }
-
+    const Members m = members();
     Sink sink;
-    for (const Counter *c : counters)
+    for (const Counter *c : m.counters)
         sink.emit(c->key(), c->value());
-    for (const Histogram *h : histograms) {
-        const std::string key = h->key();
-        sink.emit(key + ".count", h->count());
-        sink.emit(key + ".sum", h->total());
-        sink.emit(key + ".overflow", h->overflow());
-    }
-    for (const Source &src : sources)
+    for (const Source &src : m.sources)
         src(sink);
     snap.scalars = std::move(sink.scalars_);
 
     // HdrHistograms keep their full bucket arrays (summed per key) so
     // snapshot differences yield exact interval percentiles.
-    for (const HdrHistogram *h : hdrs) {
+    for (const HdrHistogram *h : m.hdrs) {
         auto [it, fresh] = snap.hdrs.try_emplace(h->key());
         if (fresh)
             it->second = h->data();
@@ -301,27 +256,16 @@ StatsRegistry::textSnapshot() const
 void
 StatsRegistry::resetAll()
 {
-    std::vector<Counter *> counters;
-    std::vector<Histogram *> histograms;
-    std::vector<HdrHistogram *> hdrs;
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        counters = counters_;
-        histograms = histograms_;
-        hdrs = hdrs_;
-    }
-    for (Counter *c : counters)
+    const Members m = members();
+    for (Counter *c : m.counters)
         c->reset();
-    for (Histogram *h : histograms)
-        h->reset();
-    for (HdrHistogram *h : hdrs)
+    for (HdrHistogram *h : m.hdrs)
         h->reset();
 }
 
 void
 shutdownDump()
 {
-#if MNEMOSYNE_OBS
     if (enabled()) {
         const std::string json = StatsRegistry::instance().jsonSnapshot();
         if (const char *path = std::getenv("MNEMOSYNE_STATS_FILE")) {
@@ -339,11 +283,15 @@ shutdownDump()
         }
     }
     if (const char *path = std::getenv("MNEMOSYNE_TRACE_FILE")) {
-        auto &ring = TraceRing::instance();
-        if (ring.recorded() > 0)
-            ring.exportChromeJsonFile(path);
+        if (std::FILE *f = std::fopen(path, "w")) {
+            std::fprintf(f, "%s\n",
+                         FlightRecorder::instance().chromeJson().c_str());
+            std::fclose(f);
+        } else {
+            std::fprintf(stderr, "mnemosyne: cannot write trace to %s\n",
+                         path);
+        }
     }
-#endif
 }
 
 } // namespace mnemosyne::obs

@@ -3,11 +3,12 @@
  * StatsRegistry: the single place every layer's observability data
  * meets, and the JSON/text exporter behind the MNEMOSYNE_STATS toggle.
  *
- * Three kinds of inputs:
+ * Two kinds of inputs:
  *
- *  - Counters / Histograms (obs.h) self-register on construction and
- *    unregister on destruction.  Layers keep them as function-local
- *    statics, so a binary only carries the keys of the layers it links.
+ *  - Counters (obs.h) and HdrHistograms (hdr_histogram.h) self-register
+ *    on construction and unregister on destruction.  Layers keep them
+ *    as function-local statics, so a binary only carries the keys of
+ *    the layers it links.
  *  - Sources: callbacks registered by stateful objects (ScmContext,
  *    RegionManager, PHeap, TxnManager, Runtime) that emit gauges and
  *    pre-existing stats structs into a Sink at snapshot time.  A source
@@ -19,9 +20,8 @@
  *
  *   {"mtm.commits":12,"mtm.commits.per_thread":[8,4],"scm.fences":31,...}
  *
- * Log2 Histograms expand to <key>.count/.sum/.p50/.p99/.overflow;
- * HdrHistograms to <key>.count/.sum/.p50/.p90/.p95/.p99/.p999/.max/
- * .overflow.  Counters created with per-thread breakdown add
+ * HdrHistograms expand to <key>.count/.sum/.p50/.p90/.p95/.p99/.p999/
+ * .max/.overflow.  Counters created with per-thread breakdown add
  * "<key>.per_thread" arrays (indexed by thread ordinal mod
  * kMaxThreadShards, trailing zeros trimmed).
  *
@@ -84,11 +84,11 @@ class StatsRegistry
     std::string textSnapshot() const;
 
     /**
-     * Diffable snapshot: raw scalar values (counters, log2 histogram
-     * count/sum/overflow, source gauges) plus full HdrHistogram bucket
-     * arrays summed by key.  Two RawSnapshots subtract bucket-wise, so
-     * an interval's percentiles are exact — percentiles of endpoint
-     * snapshots do not diff, bucket counts do.
+     * Diffable snapshot: raw scalar values (counters, source gauges)
+     * plus full HdrHistogram bucket arrays summed by key.  Two
+     * RawSnapshots subtract bucket-wise, so an interval's percentiles
+     * are exact — percentiles of endpoint snapshots do not diff, bucket
+     * counts do.
      */
     struct RawSnapshot {
         uint64_t when_ns = 0;
@@ -101,22 +101,27 @@ class StatsRegistry
      *  own state). */
     void resetAll();
 
-    // Called by Counter / Histogram constructors; not for direct use.
+    // Called by Counter / HdrHistogram constructors; not for direct use.
     void add(Counter *c);
     void remove(Counter *c);
-    void add(Histogram *h);
-    void remove(Histogram *h);
     void add(HdrHistogram *h);
     void remove(HdrHistogram *h);
 
   private:
     StatsRegistry() = default;
 
+    /** Copies of the registration lists, so snapshot work (and source
+     *  callbacks, which may construct a counter) runs unlocked. */
+    struct Members {
+        std::vector<Counter *> counters;
+        std::vector<HdrHistogram *> hdrs;
+        std::vector<Source> sources;
+    };
+    Members members() const;
     void collect(Sink &sink) const;
 
     mutable std::mutex mu_;
     std::vector<Counter *> counters_;
-    std::vector<Histogram *> histograms_;
     std::vector<HdrHistogram *> hdrs_;
     std::map<uint64_t, Source> sources_;
     uint64_t nextToken_ = 1;
@@ -125,8 +130,8 @@ class StatsRegistry
 /**
  * Shutdown hook called by Runtime's destructor: when MNEMOSYNE_STATS is
  * on, writes the JSON snapshot to MNEMOSYNE_STATS_FILE (append) or
- * stderr; when MNEMOSYNE_TRACE_FILE is set and events were recorded,
- * writes the Chrome trace JSON there.
+ * stderr; when MNEMOSYNE_TRACE_FILE is set, writes the flight
+ * recorder's Chrome trace JSON there.
  */
 void shutdownDump();
 

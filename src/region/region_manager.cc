@@ -12,7 +12,6 @@
 
 #include "obs/obs.h"
 #include "obs/stats_registry.h"
-#include "obs/trace_ring.h"
 #include "scm/scm.h"
 
 namespace mnemosyne::region {
@@ -262,8 +261,6 @@ RegionManager::evictOne()
     residentIndex_.erase(residentKey(file_id, page_off));
     freeFrames_.push_back(f);
     ++stats_.evictions;
-    obs::TraceRing::instance().record(obs::TraceEv::kPageEvict, file_id,
-                                      page_off);
 }
 
 void
@@ -286,7 +283,6 @@ RegionManager::makeResident(Mapping &m, uintptr_t page_addr, bool initial)
         return;
     }
     ++stats_.faults;
-    obs::TraceRing::instance().record(obs::TraceEv::kPageFault, page_addr);
     allocFrame(m.fileId, page_off);
 }
 
@@ -332,8 +328,6 @@ RegionManager::mapFile(const std::string &file_name, size_t length,
         static obs::Counter maps{"region.maps"};
         maps.add(1);
     }
-    obs::TraceRing::instance().record(obs::TraceEv::kRegionMap, fixed_addr,
-                                      length);
     return addr;
 }
 
@@ -374,8 +368,6 @@ RegionManager::evictRange(uintptr_t addr, size_t length)
         residentIndex_.erase(it);
         freeFrames_.push_back(f);
         ++stats_.evictions;
-        obs::TraceRing::instance().record(obs::TraceEv::kPageEvict,
-                                          m->fileId, page_off);
     }
     c.fence();
     stats_.frames_resident = residentIndex_.size();
@@ -402,8 +394,6 @@ RegionManager::unmapFile(uintptr_t addr, size_t length)
         static obs::Counter unmaps{"region.unmaps"};
         unmaps.add(1);
     }
-    obs::TraceRing::instance().record(obs::TraceEv::kRegionUnmap, addr,
-                                      length);
 }
 
 void

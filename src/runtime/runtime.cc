@@ -6,7 +6,6 @@
 
 #include "obs/emitter.h"
 #include "obs/stats_registry.h"
-#include "obs/trace_ring.h"
 
 namespace mnemosyne {
 
@@ -37,7 +36,6 @@ Runtime::Runtime(RuntimeConfig cfg) : id_(nextRuntimeId()), cfg_(cfg)
         ownedScm_ = std::make_unique<scm::ScmContext>(cfg_.scm);
         scm::setCtx(ownedScm_.get());
     }
-    auto &tr = obs::TraceRing::instance();
 
     // 1. Reconstruct persistent regions: mapping-table scan (simulated
     //    OS boot) happens inside the region manager's constructor...
@@ -45,16 +43,12 @@ Runtime::Runtime(RuntimeConfig cfg) : id_(nextRuntimeId()), cfg_(cfg)
     mgr_ = std::make_unique<region::RegionManager>(cfg_.region);
     auto t1 = clk::now();
     reinc_.region_reconstruct = t1 - t0;
-    tr.record(obs::TraceEv::kReincPhase, 1, 0,
-              uint64_t(reinc_.region_reconstruct.count()));
 
     // 2. ...then libmnemosyne remaps the process's regions.
     regions_ = std::make_unique<region::RegionLayer>(
         *mgr_, cfg_.static_region_bytes);
     auto t2 = clk::now();
     reinc_.region_remap = t2 - t1;
-    tr.record(obs::TraceEv::kReincPhase, 2, 0,
-              uint64_t(reinc_.region_remap.count()));
     region::setCurrentRegionLayer(regions_.get());
 
     // 3. Recover the persistent heap and scavenge its volatile indexes.
@@ -63,15 +57,11 @@ Runtime::Runtime(RuntimeConfig cfg) : id_(nextRuntimeId()), cfg_(cfg)
                                           cfg_.heap_global_lock);
     auto t3 = clk::now();
     reinc_.heap_scavenge = t3 - t2;
-    tr.record(obs::TraceEv::kReincPhase, 3, 0,
-              uint64_t(reinc_.heap_scavenge.count()));
 
     // 4. Replay completed but not flushed transactions.
     txns_ = std::make_unique<mtm::TxnManager>(*regions_, cfg_.txn);
     auto t4 = clk::now();
     reinc_.txn_replay = t4 - t3;
-    tr.record(obs::TraceEv::kReincPhase, 4, 0,
-              uint64_t(reinc_.txn_replay.count()));
     reinc_.replayed_txns = txns_->stats().replayed_txns;
 
     // 5. Reclaim staged allocations that never got linked (and staged

@@ -5,7 +5,6 @@
 #include <random>
 
 #include "obs/stats_registry.h"
-#include "obs/trace_ring.h"
 
 namespace mnemosyne::scm {
 
@@ -211,8 +210,6 @@ ScmContext::store(void *addr, const void *src, size_t len)
         return;
     nStores_.add(1);
     bytesStored_.add(len);
-    obs::TraceRing::instance().record(obs::TraceEv::kStore,
-                                      uintptr_t(addr), len);
     hookEvent(Event::kStore, addr, len);
     if (!cfg_.failure_tracking) {
         deviceCopy(addr, src, len);
@@ -249,8 +246,6 @@ ScmContext::wtstore(void *addr, const void *src, size_t len)
         return;
     nWtStores_.add(1);
     bytesStreamed_.add(len);
-    obs::TraceRing::instance().record(obs::TraceEv::kWtStore,
-                                      uintptr_t(addr), len);
     hookEvent(Event::kWtStore, addr, len);
     if (!cfg_.failure_tracking &&
         cfg_.latency_mode == LatencyMode::kNone) {
@@ -279,8 +274,6 @@ ScmContext::flushImpl(const void *addr, Event ev)
     if (halted_.load(std::memory_order_acquire))
         return;
     nFlushes_.add(1);
-    obs::TraceRing::instance().record(obs::TraceEv::kFlush,
-                                      uintptr_t(addr), kCacheLineSize);
     hookEvent(ev, addr, kCacheLineSize);
     if (cfg_.failure_tracking) {
         // Claim the line's cached writes: they are now issued toward
@@ -346,13 +339,12 @@ ScmContext::fence()
     if (halted_.load(std::memory_order_acquire))
         return;
     nFences_.add(1);
-    obs::TraceRing::instance().record(obs::TraceEv::kFence);
     hookEvent(Event::kFence, nullptr, 0);
     if (!cfg_.failure_tracking &&
         cfg_.latency_mode == LatencyMode::kNone) {
         // Fast lane: nothing to retire and nothing to delay — the
         // matching wtstore lane never accumulated bandwidth state, so
-        // a fence is counters + trace only.
+        // a fence is counters only.
         return;
     }
     ThreadScm &t = self();

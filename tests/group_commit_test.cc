@@ -277,8 +277,6 @@ TEST(GroupCommit, ExplicitWaitsSealAtOnce)
     // that makes a synchronous commit linger for peers), wait(ticket)
     // and sync() still seal the open epoch at once and take no grace
     // nap.  Synchronous atomic{} commits keep lingering.
-    if (!MNEMOSYNE_OBS)
-        GTEST_SKIP() << "needs the obs counters";
     const bool statsWereOn = obs::enabled();
     obs::setEnabled(true);
     TempDir dir;
@@ -320,6 +318,38 @@ TEST(GroupCommit, ExplicitWaitsSealAtOnce)
 
     release = true;
     peer.join();
+    obs::setEnabled(statsWereOn);
+}
+
+TEST(GroupCommit, EpochBatchHistogramReportsExactMembers)
+{
+    // mtm.epoch_batch is an HDR histogram, exact below 64: one round of
+    // five members reports a median of 5, not a power-of-two bucket's
+    // upper bound (7).
+    const bool statsWereOn = obs::enabled();
+    obs::setEnabled(true);
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(gcCfg(dir.path()));
+    auto *arr = static_cast<uint64_t *>(
+        rt.regions().pstaticVar("arr", 64 * sizeof(uint64_t), nullptr));
+    // Only this thread's sync() may seal the epoch below.
+    rt.txns().pauseTruncation();
+    rt.sync();
+    obs::StatsRegistry::instance().resetAll();
+
+    for (int i = 0; i < 5; ++i) {
+        // 8 words apart: disjoint stripes, no intra-epoch conflicts.
+        (void)rt.atomicAsync(
+            [&, i](mtm::Txn &tx) { tx.writeT<uint64_t>(&arr[i * 8], 1); });
+    }
+    rt.sync();
+    EXPECT_EQ(statCounter("mtm.epoch_seals"), 1u);
+    EXPECT_EQ(statCounter("mtm.epoch_batch.count"), 1u);
+    EXPECT_EQ(statCounter("mtm.epoch_batch.p50"), 5u);
+
+    rt.txns().resumeTruncation();
     obs::setEnabled(statsWereOn);
 }
 

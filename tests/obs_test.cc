@@ -1,32 +1,30 @@
 /**
  * @file
  * Tests for the observability subsystem (src/obs): sharded counters
- * under threads, histogram bucketing, trace-ring wraparound, snapshot
- * export, and the end-to-end one-fence-per-durable-txn property of the
- * tornbit RAWL (paper section 4.4).
+ * under threads, HDR histogram bucketing, flight-recorder rings and
+ * Chrome export, snapshot export, and the end-to-end
+ * one-fence-per-durable-txn property of the tornbit RAWL (paper
+ * section 4.4).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <mutex>
-#include <set>
-#include <sstream>
-#include <string>
-#include <thread>
-#include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
-#define OBS_TEST_SOCKETS 1
-#else
-#define OBS_TEST_SOCKETS 0
-#endif
+
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/emitter.h"
 #include "obs/flight_recorder.h"
@@ -34,7 +32,6 @@
 #include "obs/obs.h"
 #include "obs/phase.h"
 #include "obs/stats_registry.h"
-#include "obs/trace_ring.h"
 #include "runtime/runtime.h"
 #include "scm/scm.h"
 #include "tests/test_util.h"
@@ -48,8 +45,6 @@ using mnemosyne::test::TempDir;
 using mnemosyne::test::smallRegionConfig;
 
 namespace {
-
-#if MNEMOSYNE_OBS
 
 /** Stats on for the duration of a test, restored after. */
 class ScopedStats
@@ -173,33 +168,10 @@ TEST(Counter, PerThreadBreakdownArray)
     EXPECT_EQ(total, 30u);
 }
 
-TEST(Histogram, BucketBoundaries)
-{
-    EXPECT_EQ(obs::Histogram::bucketIndex(0), 0u);
-    EXPECT_EQ(obs::Histogram::bucketIndex(1), 0u);
-    EXPECT_EQ(obs::Histogram::bucketIndex(2), 1u);
-    EXPECT_EQ(obs::Histogram::bucketIndex(3), 1u);
-    EXPECT_EQ(obs::Histogram::bucketIndex(4), 2u);
-    EXPECT_EQ(obs::Histogram::bucketIndex(1023), 9u);
-    EXPECT_EQ(obs::Histogram::bucketIndex(1024), 10u);
-    EXPECT_EQ(obs::Histogram::bucketIndex(UINT64_MAX), 63u);
-
-    EXPECT_EQ(obs::Histogram::bucketLowerBound(0), 0u);
-    EXPECT_EQ(obs::Histogram::bucketLowerBound(1), 2u);
-    EXPECT_EQ(obs::Histogram::bucketLowerBound(10), 1024u);
-
-    // Every bucket's lower bound maps back to that bucket.
-    for (size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
-        EXPECT_EQ(obs::Histogram::bucketIndex(
-                      obs::Histogram::bucketLowerBound(i)),
-                  i);
-    }
-}
-
-TEST(Histogram, CountsSumsAndQuantiles)
+TEST(HdrHistogram, CountsSumsAndQuantiles)
 {
     ScopedStats on(true);
-    obs::Histogram h{"obs_test.lat"};
+    obs::HdrHistogram h{"obs_test.lat"};
     h.record(0);
     h.record(1);
     h.record(2);
@@ -207,33 +179,34 @@ TEST(Histogram, CountsSumsAndQuantiles)
     h.record(1024);
     EXPECT_EQ(h.count(), 5u);
     EXPECT_EQ(h.total(), 1030u);
+    EXPECT_EQ(h.max(), 1024u);
 
-    const auto buckets = h.bucketsSnapshot();
-    EXPECT_EQ(buckets[0], 2u);
-    EXPECT_EQ(buckets[1], 2u);
-    EXPECT_EQ(buckets[10], 1u);
-
-    // Quantiles report the upper bound of the containing bucket: with 5
-    // samples, ranks 1..4 land in buckets 0-1 and only the max (q=1.0)
-    // reaches the 1024 sample's bucket.
-    EXPECT_EQ(h.quantile(0.0), 1u);
-    EXPECT_EQ(h.quantile(0.5), 3u);
-    EXPECT_EQ(h.quantile(1.0), 2047u);
+    // Values below 2 * kSubCount are counted exactly; larger ones
+    // report their sub-bucket's upper bound.
+    EXPECT_EQ(h.quantile(0.0), 0u);
+    EXPECT_EQ(h.quantile(0.5), 2u);
+    EXPECT_EQ(h.quantile(1.0),
+              obs::HdrLayout::valueFor(obs::HdrLayout::indexFor(1024)));
 
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.quantile(0.5), 0u);
 }
 
-TEST(Histogram, SnapshotExpandsToDerivedKeys)
+TEST(HdrHistogram, SnapshotExpandsToDerivedKeys)
 {
     ScopedStats on(true);
-    obs::Histogram h{"obs_test.hist"};
-    h.record(100);
+    obs::HdrHistogram h{"obs_test.hist"};
+    h.record(5);
     const std::string json = obs::StatsRegistry::instance().jsonSnapshot();
     EXPECT_NE(json.find("\"obs_test.hist.count\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"obs_test.hist.sum\":100"), std::string::npos);
-    EXPECT_NE(json.find("\"obs_test.hist.p50\":127"), std::string::npos);
+    EXPECT_NE(json.find("\"obs_test.hist.sum\":5"), std::string::npos);
+    for (const char *q : {"p50", "p90", "p95", "p99", "p999", "max"}) {
+        EXPECT_NE(json.find("\"obs_test.hist." + std::string(q) + "\":5"),
+                  std::string::npos)
+            << q << " in " << json;
+    }
+    EXPECT_NE(json.find("\"obs_test.hist.overflow\":0"), std::string::npos);
 }
 
 TEST(StatsRegistry, SourcesEmitGaugesAndRemove)
@@ -288,7 +261,7 @@ TEST(StatsRegistry, JsonSnapshotRoundTrip)
 {
     ScopedStats on(true);
     obs::Counter c{"obs_test.rt_counter", true};
-    obs::Histogram h{"obs_test.rt_hist"};
+    obs::HdrHistogram h{"obs_test.rt_hist"};
     c.add(3);
     h.record(9);
     auto &reg = obs::StatsRegistry::instance();
@@ -311,58 +284,6 @@ TEST(StatsRegistry, JsonSnapshotRoundTrip)
     EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(h.count(), 0u);
     reg.removeSource(token);
-}
-
-TEST(TraceRing, RecordsAndWrapsAround)
-{
-    auto &ring = obs::TraceRing::instance();
-    ring.setCapacity(16);
-    ring.setEnabled(true);
-
-    constexpr uint64_t kEvents = 40;
-    for (uint64_t i = 0; i < kEvents; ++i)
-        ring.record(obs::TraceEv::kFence, i);
-    EXPECT_EQ(ring.recorded(), kEvents);
-    EXPECT_EQ(ring.dropped(), kEvents - 16);
-
-    const auto events = ring.snapshot();
-    ASSERT_EQ(events.size(), 16u);
-    // Oldest-first, contiguous, ending at the last claim.
-    for (size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].seq, kEvents - 16 + i + 1);
-        EXPECT_EQ(events[i].a0, kEvents - 16 + i);
-        EXPECT_EQ(events[i].ev, obs::TraceEv::kFence);
-    }
-
-    ring.setEnabled(false);
-    ring.record(obs::TraceEv::kFence);
-    EXPECT_EQ(ring.recorded(), kEvents) << "disabled ring must not record";
-    ring.clear();
-    EXPECT_EQ(ring.recorded(), 0u);
-    ring.setCapacity(obs::TraceRing::kDefaultCapacity);
-}
-
-TEST(TraceRing, ChromeJsonExport)
-{
-    auto &ring = obs::TraceRing::instance();
-    ring.setCapacity(64);
-    ring.setEnabled(true);
-    ring.record(obs::TraceEv::kTxnCommit, 7, 11);
-    ring.record(obs::TraceEv::kReincPhase, 1, 0, /*dur_ns=*/5000);
-    ring.setEnabled(false);
-
-    std::ostringstream os;
-    ring.exportChromeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"txn_commit\""), std::string::npos);
-    EXPECT_NE(json.find("\"cat\":\"mtm\""), std::string::npos);
-    // Instant events use phase "i"; spans use "X" with a duration.
-    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\",\"dur\":5"), std::string::npos);
-
-    ring.clear();
-    ring.setCapacity(obs::TraceRing::kDefaultCapacity);
 }
 
 // ---------------------------------------------------------------------
@@ -464,6 +385,15 @@ TEST(HdrHistogram, DataSubtractAndMerge)
     EXPECT_EQ(merged.count, d1.count);
     EXPECT_EQ(merged.sum, d1.sum);
     EXPECT_EQ(merged.buckets, d1.buckets);
+
+    // A standalone Data (unregistered, ungated) buckets identically.
+    obs::HdrHistogram::Data plain;
+    for (uint64_t v : {100, 200, 300, 400, 500})
+        plain.record(v);
+    EXPECT_EQ(plain.count, d1.count);
+    EXPECT_EQ(plain.sum, d1.sum);
+    EXPECT_EQ(plain.max, d1.max);
+    EXPECT_EQ(plain.buckets, d1.buckets);
 }
 
 TEST(HdrHistogram, OverflowBucketSaturates)
@@ -493,18 +423,22 @@ TEST(HdrHistogram, OverflowBucketSaturates)
 TEST(Histogram, OverflowBucketCountsSaturatingRecords)
 {
     ScopedStats on(true);
-    obs::Histogram h{"obs_test.log2_of"};
+    obs::HdrHistogram h{"obs_test.edge_of"};
     h.record(7);
-    h.record(obs::Histogram::bucketLowerBound(obs::Histogram::kBuckets));
+    h.record(obs::HdrLayout::kMaxTrackable);     // last trackable value
+    h.record(obs::HdrLayout::kMaxTrackable + 1); // first overflowing one
     h.record(UINT64_MAX);
-    EXPECT_EQ(h.count(), 3u);
+    EXPECT_EQ(h.count(), 4u);
     EXPECT_EQ(h.overflow(), 2u);
+    EXPECT_EQ(h.max(), UINT64_MAX);
+    EXPECT_EQ(h.quantile(0.1), 7u);
+    // kMaxTrackable itself lands in the top bucket, not the overflow.
+    EXPECT_EQ(h.quantile(0.5), obs::HdrLayout::kMaxTrackable);
     // Overflowed ranks saturate instead of reporting a fake bound.
-    EXPECT_EQ(h.quantile(1.0), UINT64_MAX);
-    EXPECT_LE(h.quantile(0.1), 7u);
+    EXPECT_EQ(h.quantile(1.0), obs::HdrLayout::kMaxTrackable);
 
     const std::string json = obs::StatsRegistry::instance().jsonSnapshot();
-    EXPECT_NE(json.find("\"obs_test.log2_of.overflow\":2"),
+    EXPECT_NE(json.find("\"obs_test.edge_of.overflow\":2"),
               std::string::npos)
         << json;
 }
@@ -670,6 +604,82 @@ TEST(ObsFlightRecorder, TrapStrideTimesOneInN)
         EXPECT_FALSE(fr->timed);
         f.endTxn(fr, obs::kFlightCommitted, 0);
     }
+}
+
+/** Count of non-overlapping occurrences of @p needle in @p hay. */
+size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST(ObsFlightRecorder, ChromeJsonExport)
+{
+    ScopedFlight guard(true, 1);
+    auto &f = obs::FlightRecorder::instance();
+
+    obs::FlightFrame *fr = f.beginTxn(7);
+    ASSERT_NE(fr, nullptr);
+    fr->fences = 1;
+    fr->flushes = 3;
+    f.endTxn(fr, obs::kFlightCommitted, 11);
+    fr = f.beginTxn(8);
+    ASSERT_NE(fr, nullptr);
+    f.endTxn(fr, obs::kFlightAborted, 0);
+    // Sampling off: this one lands in the slow trap only.
+    f.setSampleEvery(0);
+    fr = f.beginTxn(9);
+    ASSERT_NE(fr, nullptr);
+    ASSERT_FALSE(fr->sampled);
+    f.endTxn(fr, obs::kFlightCommitted, 12);
+
+    const std::string json = f.chromeJson();
+    expectWellFormedJsonObject(json);
+    EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"txn_commit\",\"cat\":\"mtm\","
+                        "\"ph\":\"X\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"name\":\"txn_abort\""), std::string::npos);
+    // Counts and span durations ride along as args.
+    EXPECT_NE(json.find("\"txn\":7,"), std::string::npos);
+    EXPECT_NE(json.find("\"commit_ts\":11,"), std::string::npos);
+    EXPECT_NE(json.find("\"fences\":1,\"flushes\":3,"), std::string::npos);
+    EXPECT_NE(json.find("\"log_fence\":"), std::string::npos);
+    // One event per transaction: the trap holds all three, the rings
+    // the first two, and nothing is exported twice.
+    EXPECT_EQ(countOf(json, "\"ph\":\"X\""), 3u) << json;
+    EXPECT_EQ(countOf(json, "\"txn\":7,"), 1u);
+    EXPECT_EQ(countOf(json, "\"txn\":9,"), 1u);
+}
+
+TEST(ObsFlightRecorder, ChromeExportEmitsProcessAndThreadNames)
+{
+    ScopedFlight guard(true, 1);
+    auto &f = obs::FlightRecorder::instance();
+    obs::setCurrentThreadName("obs-test-main");
+    f.endTxn(f.beginTxn(1), obs::kFlightCommitted, 2);
+    uint32_t unnamed = 0;
+    std::thread t([&] {
+        unnamed = uint32_t(obs::threadOrdinal());
+        f.endTxn(f.beginTxn(3), obs::kFlightCommitted, 4);
+    });
+    t.join();
+
+    const std::string json = f.chromeJson();
+    expectWellFormedJsonObject(json);
+    EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"name\":\"process_name\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"thread_name\""), std::string::npos);
+    EXPECT_NE(json.find("obs-test-main"), std::string::npos)
+        << "registered thread name must appear in the metadata";
+    EXPECT_NE(json.find("\"thread " + std::to_string(unnamed) + "\""),
+              std::string::npos)
+        << "threads without a name export under their ordinal";
 }
 
 RuntimeConfig
@@ -845,8 +855,6 @@ TEST(ObsConcurrency, FlightSnapshotsRaceWritersDifferentially)
 // Live export: the stats emitter endpoint
 // ---------------------------------------------------------------------
 
-#if OBS_TEST_SOCKETS
-
 namespace {
 
 int
@@ -928,33 +936,41 @@ TEST(ObsEmitter, TcpLineProtocolRoundTrip)
     EXPECT_FALSE(em.running());
 }
 
-#endif // OBS_TEST_SOCKETS
-
-// ---------------------------------------------------------------------
-// TraceRing chrome metadata (thread names)
-// ---------------------------------------------------------------------
-
-TEST(ObsTraceMeta, ChromeExportEmitsProcessAndThreadNames)
+TEST(ObsEmitter, DropsClientThatNeverSendsNewline)
 {
-    auto &ring = obs::TraceRing::instance();
-    ring.clear();
-    ring.setCapacity(64);
-    ring.setEnabled(true);
-    obs::setCurrentThreadName("obs-test-main");
-    ring.record(obs::TraceEv::kTxnCommit, 1, 2);
-    ring.setEnabled(false);
+    auto &em = obs::StatsEmitter::instance();
+    ASSERT_TRUE(em.start(0));
+    const int fd = connectLoopback(em.port());
+    ASSERT_GE(fd, 0);
+    // Timeouts turn an emitter that keeps the connection open into a
+    // failure instead of a hang.
+    timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
-    std::ostringstream os;
-    ring.exportChromeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos) << json;
-    EXPECT_NE(json.find("\"name\":\"process_name\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"thread_name\""), std::string::npos);
-    EXPECT_NE(json.find("obs-test-main"), std::string::npos)
-        << "registered thread name must appear in the metadata";
+    const std::string junk(1 << 20, 'x');
+    size_t sent = 0;
+    while (sent < junk.size()) {
+        const ssize_t n = ::send(fd, junk.data() + sent, junk.size() - sent,
+                                 MSG_NOSIGNAL);
+        if (n <= 0)
+            break; // the emitter hung up mid-send
+        sent += size_t(n);
+    }
+    char ch;
+    const ssize_t n = ::recv(fd, &ch, 1, 0);
+    EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET))
+        << "connection still open: recv=" << n << " errno=" << errno;
+    ::close(fd);
 
-    ring.clear();
-    ring.setCapacity(obs::TraceRing::kDefaultCapacity);
+    // The emitter itself stays up for the next client.
+    const int fd2 = connectLoopback(em.port());
+    ASSERT_GE(fd2, 0);
+    std::string reply;
+    ASSERT_TRUE(roundTrip(fd2, "ping", reply));
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    ::close(fd2);
+    em.stop();
 }
 
 /** The paper's tornbit claim (section 4.4): making a small transaction
@@ -1018,74 +1034,5 @@ TEST(ObsIntegration, TxnStatsFoldedIntoRegistry)
     // Quiet the Runtime destructor's shutdown dump.
     obs::setEnabled(false);
 }
-
-#else // !MNEMOSYNE_OBS
-
-// Under -DMN_OBS=OFF, Counter/Histogram/TraceRing are same-surface
-// no-op stubs; ShardedCounter stays real (TxnStats/ScmStats depend on
-// it).  This verifies the stub API compiles and stays inert.
-TEST(ObsStubs, NoOpSurface)
-{
-    obs::ShardedCounter sc;
-    sc.add(5);
-    EXPECT_EQ(sc.sum(), 5u);
-    sc.reset();
-    EXPECT_EQ(sc.sum(), 0u);
-
-    obs::Counter c("stub.counter");
-    c.add(3);
-    obs::Histogram h("stub.hist");
-    h.record(100);
-
-    obs::setEnabled(true);
-    EXPECT_FALSE(obs::enabled());
-
-    obs::TraceRing::instance().record(obs::TraceEv::kFence, 0, 0);
-    EXPECT_TRUE(obs::TraceRing::instance().snapshot().empty());
-
-    EXPECT_EQ(obs::StatsRegistry::instance().jsonSnapshot(), "{}");
-}
-
-// The observability-v2 classes also compile to inert stubs.
-TEST(ObsStubs, V2NoOpSurface)
-{
-    obs::HdrHistogram hdr("stub.hdr");
-    hdr.record(100);
-    hdr.recordAlways(100);
-    EXPECT_EQ(hdr.count(), 0u);
-    EXPECT_EQ(hdr.quantile(0.99), 0u);
-    EXPECT_EQ(hdr.overflow(), 0u);
-    EXPECT_TRUE(hdr.data().buckets.empty());
-
-    auto &flight = obs::FlightRecorder::instance();
-    flight.setEnabled(true);
-    EXPECT_FALSE(flight.enabled());
-    flight.setTrapStride(4);
-    EXPECT_EQ(flight.trapStride(), 0u);
-    EXPECT_EQ(flight.beginTxn(1), nullptr);
-    flight.endTxn(nullptr, 0, 0);
-    EXPECT_TRUE(flight.snapshot().empty());
-    EXPECT_TRUE(flight.slowest().empty());
-    EXPECT_EQ(flight.json(), "{\"records\":[],\"slow\":[]}");
-    { obs::SpanScope span(nullptr, obs::Span::kLogFence); }
-
-    obs::Phase phase("stub");
-    const auto r = phase.finish();
-    EXPECT_EQ(r.name, "stub");
-    EXPECT_EQ(r.value("anything"), 0u);
-    EXPECT_EQ(r.hdrQuantile("anything", 0.5), 0u);
-    EXPECT_TRUE(obs::PhaseLog::instance().results().empty());
-
-    auto &em = obs::StatsEmitter::instance();
-    EXPECT_FALSE(em.start(0));
-    EXPECT_FALSE(em.running());
-    EXPECT_EQ(em.port(), 0);
-    em.requestDump();
-    em.stop();
-
-    obs::setCurrentThreadName("stub-thread");
-}
-
-#endif // MNEMOSYNE_OBS
 
 } // namespace

@@ -32,7 +32,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -46,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/hdr_histogram.h"
 #include "server/kv_client.h"
 #include "server/kv_protocol.h"
 
@@ -61,70 +61,9 @@ onSignal(int)
     gStop = 1;
 }
 
-// ---------------------------------------------------------------------------
-// A small self-contained log-linear histogram (4-bit sub-buckets, ~6%
-// value precision): kv_perf must report real percentiles even when the
-// server libraries were built with MN_OBS=OFF, so it does not depend on
-// the obs runtime gate.
-// ---------------------------------------------------------------------------
-
-struct Hdr {
-    static constexpr size_t kBuckets = 64 * 16;
-    std::vector<uint64_t> b = std::vector<uint64_t>(kBuckets, 0);
-    uint64_t n = 0;
-
-    static size_t
-    index(uint64_t v)
-    {
-        const int w = v ? std::bit_width(v) : 1;
-        if (w <= 5)
-            return v;   // exact below 32
-        const uint64_t sub = (v >> (w - 5)) & 15;
-        return size_t(w) * 16 + size_t(sub);
-    }
-
-    static uint64_t
-    lowerBound(size_t i)
-    {
-        if (i < 32)
-            return i;
-        const int w = int(i / 16);
-        const uint64_t sub = i % 16;
-        return (uint64_t(16) | sub) << (w - 5);
-    }
-
-    void
-    record(uint64_t v)
-    {
-        b[std::min(index(v), kBuckets - 1)]++;
-        n++;
-    }
-
-    void
-    merge(const Hdr &o)
-    {
-        for (size_t i = 0; i < kBuckets; ++i)
-            b[i] += o.b[i];
-        n += o.n;
-    }
-
-    uint64_t
-    quantile(double q) const
-    {
-        if (n == 0)
-            return 0;
-        uint64_t target = uint64_t(double(n) * q);
-        if (target >= n)
-            target = n - 1;
-        uint64_t seen = 0;
-        for (size_t i = 0; i < kBuckets; ++i) {
-            seen += b[i];
-            if (seen > target)
-                return lowerBound(i);
-        }
-        return lowerBound(kBuckets - 1);
-    }
-};
+/** Client-side latency histogram: HDR buckets (~3% value precision),
+ *  one per loader thread, merged at the end; no registry, no gate. */
+using Hdr = mnemosyne::obs::HdrHistogram::Data;
 
 uint64_t
 fnv64(std::string_view s, uint64_t seq)
@@ -780,11 +719,11 @@ main(int argc, char **argv)
                     name, (unsigned long long)h.quantile(0.50),
                     (unsigned long long)h.quantile(0.99),
                     (unsigned long long)h.quantile(0.999),
-                    (unsigned long long)h.n);
+                    (unsigned long long)h.count);
     };
-    if (total.write_ns.n)
+    if (total.write_ns.count)
         row("write", total.write_ns);
-    if (total.read_ns.n)
+    if (total.read_ns.count)
         row("read", total.read_ns);
     if (fences_per_txn >= 0)
         std::printf("  fences/txn (exact, from server counters): %.4f\n",

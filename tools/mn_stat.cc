@@ -6,8 +6,7 @@
  * 0 = pick an ephemeral port and print it) serves a line protocol on
  * 127.0.0.1: send one command, get one line of JSON back.  This tool is
  * the client side: deliberately standalone (plain POSIX sockets, no
- * library dependency) so it builds and runs even when the library is
- * configured with MN_OBS=OFF.
+ * library dependency), so it talks to any mnemosyne process.
  *
  *   mn_stat --port 7777                 # pretty-printed stats snapshot
  *   mn_stat --port 7777 --json          # raw JSON (for scripts / jq)
