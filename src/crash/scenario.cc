@@ -489,8 +489,26 @@ class HashScenario final : public Scenario
 // flushes and the single epoch fence — and recovery must land on
 // exactly one of { baseline, epoch 1, epoch 2 }: whole-epoch
 // all-or-nothing, never a torn batch with only some member
-// transactions applied.
+// transactions applied.  Each member's words sit on a cache line of
+// their own, so members share no stripe lock: none aborts on a
+// predecessor's lock (held until retirement), whose backoff would seal
+// an extra epoch mid-batch.
 // ---------------------------------------------------------------------------
+
+/** Words per cache line: the stride that gives each transaction of a
+ *  scenario lines (and so stripe locks) of its own. */
+constexpr size_t kLineWords = scm::kCacheLineSize / sizeof(uint64_t);
+
+/** The persistent static variable @p name with room for @p bytes from
+ *  its first line boundary (pstatic data need not be line-aligned). */
+uint64_t *
+linePstatic(ScenarioEnv &env, const char *name, size_t bytes)
+{
+    const auto p = reinterpret_cast<uintptr_t>(env.rt.regions().pstaticVar(
+        name, bytes + scm::kCacheLineSize, nullptr));
+    return reinterpret_cast<uint64_t *>(
+        (p + scm::kCacheLineSize - 1) & ~uintptr_t(scm::kCacheLineSize - 1));
+}
 
 class GroupCommitScenario final : public Scenario
 {
@@ -498,6 +516,14 @@ class GroupCommitScenario final : public Scenario
     static constexpr size_t kTxns = 3;        // member txns per epoch
     static constexpr size_t kWordsPerTxn = 4;
     static constexpr size_t kWords = kTxns * kWordsPerTxn;
+    static constexpr size_t kBytes = kTxns * scm::kCacheLineSize;
+
+    /** Array slot of logical word @p w: member t's words on line t. */
+    static size_t
+    slot(size_t w)
+    {
+        return w / kWordsPerTxn * kLineWords + w % kWordsPerTxn;
+    }
 
     std::string name() const override { return "group_commit"; }
 
@@ -514,15 +540,14 @@ class GroupCommitScenario final : public Scenario
     void
     prepare(ScenarioEnv &env) override
     {
-        words_ = static_cast<uint64_t *>(env.rt.regions().pstaticVar(
-            "sweep_epoch_words", kWords * sizeof(uint64_t), nullptr));
+        words_ = linePstatic(env, "sweep_epoch_words", kBytes);
         // Keep the background truncator quiescent: with it paused all
         // combining happens inline on this thread, satisfying the
         // single-threaded determinism contract.
         env.rt.txns().pauseTruncation();
         env.rt.atomic([&](mtm::Txn &tx) {
             for (size_t w = 0; w < kWords; ++w)
-                tx.writeT<uint64_t>(&words_[w], mixWord(0, w));
+                tx.writeT<uint64_t>(&words_[slot(w)], mixWord(0, w));
         });
     }
 
@@ -534,7 +559,7 @@ class GroupCommitScenario final : public Scenario
                 env.rt.atomicAsync([&](mtm::Txn &tx) {
                     for (size_t i = 0; i < kWordsPerTxn; ++i) {
                         const size_t w = t * kWordsPerTxn + i;
-                        tx.writeT<uint64_t>(&words_[w],
+                        tx.writeT<uint64_t>(&words_[slot(w)],
                                             mixWord(epoch, w));
                     }
                 });
@@ -546,15 +571,14 @@ class GroupCommitScenario final : public Scenario
     std::string
     verify(ScenarioEnv &env) override
     {
-        auto *words = static_cast<uint64_t *>(env.rt.regions().pstaticVar(
-            "sweep_epoch_words", kWords * sizeof(uint64_t), nullptr));
+        const uint64_t *words = linePstatic(env, "sweep_epoch_words", kBytes);
         // Each epoch (and the baseline) writes ALL words, so the only
         // legal images are complete ones.  Seeing some-but-not-all
         // words from an epoch means its batch tore.
         for (uint64_t epoch = 2;; --epoch) {
             size_t hits = 0;
             for (size_t w = 0; w < kWords; ++w)
-                if (words[w] == mixWord(epoch, w))
+                if (words[slot(w)] == mixWord(epoch, w))
                     ++hits;
             if (hits == kWords)
                 return "";
@@ -579,13 +603,15 @@ class GroupCommitScenario final : public Scenario
 // coverage.  Every transaction writes one clustered 3-word run (a
 // write() span) plus two scattered words on other cache lines — the
 // shape the compact (v2) record encodes as a multi-run varint stream
-// (redo_codec.h).  Transaction footprints are disjoint, so recovery
-// must land on an exact transaction prefix: any torn record, a
-// mis-decoded run, or a wrong base address shows up as a torn or
-// out-of-prefix transaction.  The three registered variants pin the
-// encoding knob (v2 default, v1 fallback) and run the v2 records
-// through the group-commit epoch path (kTagCommitEpochV2 gated on the
-// epoch marker).
+// (redo_codec.h).  Transaction footprints are disjoint down to the
+// cache line (each run and each scattered word on a line of its own),
+// so recovery must land on an exact transaction prefix: any torn
+// record, a mis-decoded run, or a wrong base address shows up as a
+// torn or out-of-prefix transaction; and the group-commit variant's
+// members never abort on each other's stripe locks.  The three
+// registered variants pin the encoding knob (v2 default, v1 fallback)
+// and run the v2 records through the group-commit epoch path
+// (kTagCommitEpochV2 gated on the epoch marker).
 // ---------------------------------------------------------------------------
 
 class RedoShapeScenario : public Scenario
@@ -597,6 +623,18 @@ class RedoShapeScenario : public Scenario
     static constexpr size_t kScatterBase = kTxns * kClustered;
     static constexpr size_t kWords = kTxns * (kClustered + kScattered);
     static constexpr size_t kTxnsPerEpoch = 2; // group-commit variant
+    static constexpr size_t kBytes =
+        kTxns * (1 + kScattered) * scm::kCacheLineSize;
+
+    /** Array slot of logical word @p w: txn t's run on line t, then
+     *  one line per scattered word. */
+    static size_t
+    slot(size_t w)
+    {
+        if (w < kScatterBase)
+            return w / kClustered * kLineWords + w % kClustered;
+        return (kTxns + w - kScatterBase) * kLineWords;
+    }
 
     RedoShapeScenario(bool compact, bool gc) : compact_(compact), gc_(gc) {}
 
@@ -622,13 +660,12 @@ class RedoShapeScenario : public Scenario
     void
     prepare(ScenarioEnv &env) override
     {
-        words_ = static_cast<uint64_t *>(env.rt.regions().pstaticVar(
-            "sweep_redo_words", kWords * sizeof(uint64_t), nullptr));
+        words_ = linePstatic(env, "sweep_redo_words", kBytes);
         if (gc_)
             env.rt.txns().pauseTruncation(); // combine inline: determinism
         env.rt.atomic([&](mtm::Txn &tx) {
             for (size_t w = 0; w < kWords; ++w)
-                tx.writeT<uint64_t>(&words_[w], mixWord(0, w));
+                tx.writeT<uint64_t>(&words_[slot(w)], mixWord(0, w));
         });
     }
 
@@ -641,11 +678,12 @@ class RedoShapeScenario : public Scenario
                 uint64_t buf[kClustered];
                 for (size_t i = 0; i < kClustered; ++i)
                     buf[i] = mixWord(t + 1, t * kClustered + i);
-                tx.write(&words_[t * kClustered], buf, sizeof(buf));
+                tx.write(&words_[slot(t * kClustered)], buf, sizeof(buf));
                 // ...plus scattered single words on other lines.
                 for (size_t s = 0; s < kScattered; ++s) {
                     const size_t w = kScatterBase + s * kTxns + t;
-                    tx.writeT<uint64_t>(&words_[w], mixWord(t + 1, w));
+                    tx.writeT<uint64_t>(&words_[slot(w)],
+                                        mixWord(t + 1, w));
                 }
             };
             if (gc_) {
@@ -662,21 +700,21 @@ class RedoShapeScenario : public Scenario
     std::string
     verify(ScenarioEnv &env) override
     {
-        auto *words = static_cast<uint64_t *>(env.rt.regions().pstaticVar(
-            "sweep_redo_words", kWords * sizeof(uint64_t), nullptr));
+        const uint64_t *words = linePstatic(env, "sweep_redo_words", kBytes);
         // Per-transaction all-or-nothing over disjoint footprints.
         size_t applied_prefix = 0;
         bool prefix_open = true;
         for (size_t t = 0; t < kTxns; ++t) {
             size_t hits = 0;
             const size_t total = kClustered + kScattered;
-            for (size_t i = 0; i < kClustered; ++i)
-                if (words[t * kClustered + i] ==
-                    mixWord(t + 1, t * kClustered + i))
+            for (size_t i = 0; i < kClustered; ++i) {
+                const size_t w = t * kClustered + i;
+                if (words[slot(w)] == mixWord(t + 1, w))
                     ++hits;
+            }
             for (size_t s = 0; s < kScattered; ++s) {
                 const size_t w = kScatterBase + s * kTxns + t;
-                if (words[w] == mixWord(t + 1, w))
+                if (words[slot(w)] == mixWord(t + 1, w))
                     ++hits;
             }
             if (hits != 0 && hits != total) {

@@ -4,11 +4,16 @@
  * (paper section 5).
  *
  * "For encounter-time locking, we use a global array of volatile locks,
- * with each lock covering a portion of the address space."  Each slot is
- * one 64-bit word: bit 0 set means locked (the upper bits then hold the
- * owner's transaction id); bit 0 clear means unlocked (the upper bits
- * hold the version — the commit timestamp of the last transaction that
- * wrote any address covered by the slot).
+ * with each lock covering a portion of the address space."  The portion
+ * is one 64-byte cache line — the unit every layer below the STM already
+ * works in (flush, write-back, truncation dedup) — so a barrier over a
+ * run of words inside one line takes one lock and one read-set entry.
+ * Lines are hashed onto the array, so a slot may also cover unrelated
+ * lines that collide.  Each slot is one 64-bit word: bit 0 set means
+ * locked (the upper bits then hold the owner's transaction id); bit 0
+ * clear means unlocked (the upper bits hold the version — the commit
+ * timestamp of the last transaction that wrote any address covered by
+ * the slot).
  */
 
 #ifndef MNEMOSYNE_MTM_LOCK_TABLE_H_
@@ -19,6 +24,8 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+
+#include "scm/scm.h"
 
 namespace mnemosyne::mtm {
 
@@ -33,7 +40,7 @@ class LockTable
     {
         // Contention audit: eight locks share each cache line, which is
         // intentional — the multiplicative hash below spreads adjacent
-        // address stripes across the whole array, so two hot variables
+        // line stripes across the whole array, so two hot variables
         // land on the same line only by (1/2^bits-ish) accident, and
         // halving density would double the table's memory for a
         // negligible win.  What DOES matter is the array's base
@@ -41,7 +48,7 @@ class LockTable
         // manager's clock/txn-id lines, hence the aligned allocation.
     }
 
-    /** The lock covering @p addr (8-byte stripes, hashed). */
+    /** The lock covering @p addr (one stripe per cache line, hashed). */
     Word &
     lockFor(const void *addr)
     {
@@ -52,7 +59,8 @@ class LockTable
     size_t
     indexFor(const void *addr) const
     {
-        const auto a = reinterpret_cast<uintptr_t>(addr) >> 3;
+        const auto a =
+            reinterpret_cast<uintptr_t>(addr) / scm::kCacheLineSize;
         // Fibonacci multiplicative hash: the top `bits` product bits
         // are the best-mixed, so the shift must track the table size —
         // a fixed shift would select mid bits for any other size and

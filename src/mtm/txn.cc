@@ -120,18 +120,7 @@ Txn::extend()
     // Lazy snapshot extension: the snapshot can move forward to `now` if
     // every stripe read so far is still valid at its recorded version.
     const uint64_t now = mgr_.clock_.load(std::memory_order_acquire);
-    for (const auto &it : readSet_) {
-        auto *lock = reinterpret_cast<LockTable::Word *>(it.key);
-        const uint64_t cur = lock->load(std::memory_order_acquire);
-        if (cur == it.val)
-            continue;
-        if (LockTable::isLocked(cur) && LockTable::owner(cur) == id_) {
-            const uint64_t *prev = lockPrev_.find(it.key);
-            if (prev && *prev == it.val)
-                continue;
-        }
-        abort("snapshot extension failed");
-    }
+    validateOrAbort("snapshot extension failed");
     startTs_ = now;
 }
 
@@ -185,56 +174,56 @@ Txn::acquire(LockTable::Word &lock)
     }
 }
 
-uint64_t
-Txn::readWord(uintptr_t word_addr)
+void
+Txn::readRun(uint8_t *dst, uintptr_t addr, size_t len)
 {
-    // Read-own-writes: the bloom filter answers the (common) miss with
-    // two bit tests; only a positive pays the table probe.
-    if (writeWords_.mayContain(word_addr)) {
-        if (const uint64_t *v = writeWords_.find(word_addr))
-            return *v;
-    }
-
-    // The in-memory loads below are seqlock-style optimistic reads:
-    // a concurrent committer may be writing the word back while we
-    // read it, and the version re-check catches that.  The loads go
-    // through relaxed atomics (free on x86-64) so the race is defined
-    // behaviour; the device side writes with matching relaxed atomics
-    // (scm deviceCopy).
-    std::atomic_ref<uint64_t> word(
-        *reinterpret_cast<uint64_t *>(word_addr));
-    auto &lock = mgr_.locks_.lockFor(reinterpret_cast<void *>(word_addr));
-    for (int attempt = 0; attempt < 4; ++attempt) {
+    // [addr, addr + len) lies inside one cache line, so one stripe
+    // covers it: one version snapshot and one read-set entry serve the
+    // whole run.
+    const uintptr_t first = addr & ~uintptr_t(7);
+    const size_t nwords = (addr + len - 1 - first) / 8 + 1;
+    uint64_t vals[scm::kCacheLineSize / 8] = {};
+    auto load = [](uintptr_t w) {
+        return std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t *>(w))
+            .load(std::memory_order_relaxed);
+    };
+    auto &lock = mgr_.locks_.lockFor(reinterpret_cast<void *>(addr));
+    for (int attempt = 0;; ++attempt) {
+        if (attempt == 4)
+            abort("unstable read");
         const uint64_t v1 = lock.load(std::memory_order_acquire);
         if (LockTable::isLocked(v1)) {
-            if (LockTable::owner(v1) == id_) {
-                // I hold the stripe lock (a different word hashed here):
-                // memory is stable under my lock.
-                return word.load(std::memory_order_relaxed);
+            if (LockTable::owner(v1) != id_)
+                abort("read-write conflict");
+            // I hold the stripe, so memory is stable under my lock and
+            // my buffered words are the only newer values.  Holding it
+            // is also the only way I can have written into this line.
+            for (size_t i = 0; i < nwords; ++i) {
+                const uintptr_t w = first + 8 * i;
+                const uint64_t *buf = writeWords_.find(w);
+                vals[i] = buf ? *buf : load(w);
             }
-            abort("read-write conflict");
+            break;
         }
-        const uint64_t val = word.load(std::memory_order_relaxed);
+        // Seqlock-style optimistic read: a concurrent committer may be
+        // writing the line back while we load it, and the version
+        // re-check catches that.  The loads go through relaxed atomics
+        // (free on x86-64) so the race is defined behaviour; the device
+        // side writes with matching relaxed atomics (scm deviceCopy).
+        // Only the words asked for are loaded, never the rest of the
+        // line.
+        for (size_t i = 0; i < nwords; ++i)
+            vals[i] = load(first + 8 * i);
         const uint64_t v2 = lock.load(std::memory_order_acquire);
         if (v1 != v2)
             continue; // concurrent writer slipped in; retry the read
         if (LockTable::version(v1) > startTs_)
             extend();
         recordRead(lock, v1);
-        return val;
+        break;
     }
-    abort("unstable read");
-    __builtin_unreachable();
-}
-
-void
-Txn::writeWord(uintptr_t word_addr, uint64_t val)
-{
-    // Lazy version management: acquire the stripe, buffer the value.
-    // The redo log sees nothing until commit, when the whole write set
-    // is staged as one record (stageAndAppendRedo).
-    acquire(mgr_.locks_.lockFor(reinterpret_cast<void *>(word_addr)));
-    writeWords_.put(word_addr, val);
+    std::memcpy(dst, reinterpret_cast<const uint8_t *>(vals) + (addr - first),
+                len);
 }
 
 void
@@ -244,31 +233,36 @@ Txn::write(void *addr, const void *src, size_t len)
     obs::SpanScope span(flightDetail_, obs::Span::kWriteBarrier);
     if (flightDetail_)
         flightDetail_->writes += uint32_t((len + 7) / 8);
+    // Lazy version management: per line run, acquire the stripe once
+    // and buffer the run's words.  The redo log sees nothing until
+    // commit, when the whole write set is staged as one record
+    // (stageAndAppendRedo).
     const auto *bytes = static_cast<const uint8_t *>(src);
     uintptr_t a = reinterpret_cast<uintptr_t>(addr);
-    size_t remaining = len;
-    while (remaining > 0) {
-        const uintptr_t word = a & ~uintptr_t(7);
-        const size_t off = a - word;
-        const size_t n = std::min(remaining, 8 - off);
-        uint64_t cur;
-        if (n == 8) {
-            std::memcpy(&cur, bytes, 8);
-        } else {
-            // Sub-word store: merge into the current word value.  The
-            // lock is taken first so the in-memory read is stable.
-            acquire(mgr_.locks_.lockFor(reinterpret_cast<void *>(word)));
-            const uint64_t *buf = writeWords_.mayContain(word)
-                                      ? writeWords_.find(word)
-                                      : nullptr;
-            cur = buf ? *buf
-                      : *reinterpret_cast<const uint64_t *>(word);
-            std::memcpy(reinterpret_cast<uint8_t *>(&cur) + off, bytes, n);
+    const uintptr_t end = a + len;
+    while (a < end) {
+        const uintptr_t run_end =
+            std::min(end, (a | (scm::kCacheLineSize - 1)) + 1);
+        acquire(mgr_.locks_.lockFor(reinterpret_cast<void *>(a)));
+        while (a < run_end) {
+            const uintptr_t word = a & ~uintptr_t(7);
+            const size_t off = a - word;
+            const size_t n = std::min<size_t>(run_end - a, 8 - off);
+            if (n == 8) {
+                uint64_t val;
+                std::memcpy(&val, bytes, 8);
+                writeWords_.put(word, val);
+            } else {
+                // Sub-word store: merge into the current word value,
+                // which is stable in memory under the stripe lock.
+                auto [val, fresh] = writeWords_.insert(word, 0);
+                if (fresh)
+                    *val = *reinterpret_cast<const uint64_t *>(word);
+                std::memcpy(reinterpret_cast<uint8_t *>(val) + off, bytes, n);
+            }
+            a += n;
+            bytes += n;
         }
-        writeWord(word, cur);
-        a += n;
-        bytes += n;
-        remaining -= n;
     }
 }
 
@@ -281,16 +275,13 @@ Txn::read(void *dst, const void *addr, size_t len)
         flightDetail_->reads += uint32_t((len + 7) / 8);
     auto *out = static_cast<uint8_t *>(dst);
     uintptr_t a = reinterpret_cast<uintptr_t>(addr);
-    size_t remaining = len;
-    while (remaining > 0) {
-        const uintptr_t word = a & ~uintptr_t(7);
-        const size_t off = a - word;
-        const size_t n = std::min(remaining, 8 - off);
-        const uint64_t val = readWord(word);
-        std::memcpy(out, reinterpret_cast<const uint8_t *>(&val) + off, n);
+    const uintptr_t end = a + len;
+    while (a < end) {
+        const size_t n =
+            std::min(end, (a | (scm::kCacheLineSize - 1)) + 1) - a;
+        readRun(out, a, n);
         a += n;
         out += n;
-        remaining -= n;
     }
 }
 

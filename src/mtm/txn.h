@@ -8,11 +8,15 @@
  *
  *  - New values written during the transaction are buffered in a
  *    volatile open-addressed write set (write_set.h).
- *  - Reads return buffered values for addresses in the write set (a
- *    bloom-filter test answers the common miss without a probe), and
- *    otherwise use timestamp-validated reads against the global lock
- *    array, with lazy snapshot extension.  The read set keeps one entry
- *    per lock stripe, so validation scans unique stripes, not raw reads.
+ *  - Each lock stripe covers one cache line (lock_table.h), and both
+ *    barriers split their byte range into per-line runs.  A write run
+ *    takes its line's stripe once and buffers the run's words.  A read
+ *    run is one timestamp-validated snapshot of the words it asks for:
+ *    version load, relaxed loads, version re-check, lazy snapshot
+ *    extension, one read-set entry.  Buffered values are looked up only
+ *    when the transaction holds the stripe itself — the only case in
+ *    which it can have written into the line.  The read set keeps one
+ *    entry per stripe, so validation scans unique lines, not raw reads.
  *  - Commit stages the transaction's redo — every buffered word in the
  *    reserved persistent address range plus the commit timestamp — as
  *    ONE log record [kTagCommit, ts, (addr, val)...] appended to the
@@ -127,8 +131,7 @@ class Txn
     void rollback();                  ///< Clean up and run abort hooks.
     void reset();
 
-    uint64_t readWord(uintptr_t word_addr);
-    void writeWord(uintptr_t word_addr, uint64_t val);
+    void readRun(uint8_t *dst, uintptr_t addr, size_t len);
     void recordRead(LockTable::Word &lock, uint64_t seen);
     void acquire(LockTable::Word &lock);
     void validateOrAbort(const char *why);
@@ -157,11 +160,12 @@ class Txn
     obs::FlightFrame *flightDetail_ = nullptr;
 
     /** Volatile buffer of new values (lazy version management):
-     *  open-addressed word map plus read-own-writes bloom filter. */
+     *  open-addressed map, word address -> new value. */
     WriteSet writeWords_;
 
     /** Read set for timestamp validation: lock stripe -> first observed
-     *  version, one entry per stripe (deduplicated at insert). */
+     *  version, one entry per stripe (deduplicated at insert), so a run
+     *  of reads inside one line adds one entry. */
     DenseMap<uint64_t> readSet_;
 
     /** Locks held: lock slot -> version to restore on abort. */

@@ -35,6 +35,8 @@ struct TxnConfig {
     Truncation truncation = Truncation::kSync;
     size_t log_slots = 16;          ///< Max threads with live logs.
     size_t log_slot_bytes = 1 << 20;
+    /** log2 of the lock-table size; each lock covers the 64-byte
+     *  cache lines that hash to it (lock_table.h). */
     size_t lock_bits = 20;
     size_t max_backoff_us = 50;
 

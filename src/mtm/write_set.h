@@ -15,10 +15,10 @@
  *    across transactions is O(1) regardless of how large an earlier
  *    transaction grew the table.
  *
- * WriteSet wraps a DenseMap keyed by word address and adds a 256-bit
- * summary (bloom) filter: read barriers of transactions that write
- * little or nothing answer the read-own-writes question with two bit
- * tests instead of a table probe.
+ * The write set is a DenseMap keyed by word address.  Read barriers
+ * probe it only for lines whose stripe lock the transaction holds (a
+ * transaction holds a stripe only after writing into a line it
+ * covers), so reads of lines it never wrote cost no probe at all.
  *
  * Neither container supports erase — transactions only ever add to
  * their write/read/lock sets and then discard them wholesale.
@@ -178,67 +178,8 @@ class DenseMap
     uint32_t gen_ = 1;
 };
 
-/**
- * The transaction write set: word address -> buffered new value, plus a
- * 256-bit two-probe summary filter answering "definitely not written"
- * without touching the index.
- */
-class WriteSet
-{
-  public:
-    using Item = DenseMap<uint64_t>::Item;
-
-    size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-
-    void
-    clear()
-    {
-        map_.clear();
-        filter_[0] = filter_[1] = filter_[2] = filter_[3] = 0;
-    }
-
-    /** Two bit tests; false means the address was never written. */
-    bool
-    mayContain(uintptr_t addr) const
-    {
-        const uint64_t h = hash(addr);
-        const uint64_t b1 = h & 255, b2 = (h >> 8) & 255;
-        return (filter_[b1 >> 6] >> (b1 & 63)) &
-               (filter_[b2 >> 6] >> (b2 & 63)) & 1;
-    }
-
-    /** Buffered value for @p addr, or nullptr (exact, not probabilistic). */
-    uint64_t *
-    find(uintptr_t addr)
-    {
-        return map_.find(addr);
-    }
-
-    /** Insert or overwrite the buffered value for @p addr. */
-    void
-    put(uintptr_t addr, uint64_t val)
-    {
-        const uint64_t h = hash(addr);
-        const uint64_t b1 = h & 255, b2 = (h >> 8) & 255;
-        filter_[b1 >> 6] |= uint64_t(1) << (b1 & 63);
-        filter_[b2 >> 6] |= uint64_t(1) << (b2 & 63);
-        map_.put(addr, val);
-    }
-
-    const Item *begin() const { return map_.begin(); }
-    const Item *end() const { return map_.end(); }
-
-  private:
-    static uint64_t
-    hash(uintptr_t addr)
-    {
-        return (uint64_t(addr) >> 3) * 0xbf58476d1ce4e5b9ULL >> 32;
-    }
-
-    DenseMap<uint64_t> map_;
-    uint64_t filter_[4] = {0, 0, 0, 0};
-};
+/** The transaction write set: word address -> buffered new value. */
+using WriteSet = DenseMap<uint64_t>;
 
 } // namespace mnemosyne::mtm
 

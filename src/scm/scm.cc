@@ -34,8 +34,9 @@ nextCtxId()
 }
 
 // Live writes into the persistent range can race with the MTM's
-// optimistic readers: Txn::readWord is a seqlock-style read that is
-// validated against the stripe version and retried on instability.
+// optimistic readers: each per-line run of Txn::read is a seqlock-style
+// read that is validated against the stripe version and retried on
+// instability.
 // The protocol is correct, but a plain memcpy would make that race
 // undefined behaviour (and a ThreadSanitizer report), so device-level
 // copies go through word-sized relaxed atomics — free on x86-64 —

@@ -5,13 +5,16 @@
  * epoch retirement, sync() as a durability barrier over multiple open
  * epochs, tickets outliving their issuing thread via log-lease
  * recycling, whole-epoch recovery, fence amortization, the sealing
- * contract (explicit waits seal at once, sync commits linger), and the
- * tiny-log backoff/truncator interaction regression.
+ * contract (explicit waits seal at once, sync commits linger), the
+ * stripe locks an async commit holds until retirement (one per line),
+ * and the tiny-log backoff/truncator interaction regression.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -351,6 +354,48 @@ TEST(GroupCommit, EpochBatchHistogramReportsExactMembers)
 
     rt.txns().resumeTruncation();
     obs::setEnabled(statsWereOn);
+}
+
+TEST(GroupCommit, AsyncCommitLocksOneStripePerLine)
+{
+    // A stripe is one cache line: an async commit holds one lock per
+    // line it wrote until its epoch retires, not one per word.
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(gcCfg(dir.path()));
+    auto *arr = static_cast<uint8_t *>(
+        rt.regions().pstaticVar("arr", 4 * 64, nullptr));
+    // Only this thread's wait may retire the epoch below.
+    rt.txns().pauseTruncation();
+
+    // 100 B from 40 B into a line: 13 words over 3 lines.
+    uint8_t *line = reinterpret_cast<uint8_t *>(
+        (reinterpret_cast<uintptr_t>(arr) + 63) & ~uintptr_t(63));
+    uint8_t *dst = line + 40;
+    uint8_t val[100];
+    for (size_t i = 0; i < sizeof(val); ++i)
+        val[i] = uint8_t(i + 1);
+    auto lockedStripes = [&] {
+        auto &locks = rt.txns().locks();
+        std::set<const mtm::LockTable::Word *> held;
+        for (size_t i = 0; i < sizeof(val); ++i) {
+            const auto &l = locks.lockFor(dst + i);
+            if (mtm::LockTable::isLocked(l.load()))
+                held.insert(&l);
+        }
+        return held.size();
+    };
+
+    auto t = rt.atomicAsync(
+        [&](mtm::Txn &tx) { tx.write(dst, val, sizeof(val)); });
+    ASSERT_TRUE(t.pending());
+    EXPECT_EQ(lockedStripes(), 3u);
+    rt.wait(t);
+    EXPECT_EQ(lockedStripes(), 0u);
+    EXPECT_EQ(0, std::memcmp(dst, val, sizeof(val)));
+
+    rt.txns().resumeTruncation();
 }
 
 TEST(GroupCommit, TinyLogBackoffNudgesTruncator)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "ds/phash_table.h"
@@ -54,17 +55,15 @@ TEST(LockTable, EncodingRoundTrips)
 TEST(LockTable, SameStripeSameLockDifferentWordsSpread)
 {
     mtm::LockTable t(10);
-    uint64_t words[256];
-    // The same address maps to the same lock...
-    EXPECT_EQ(&t.lockFor(&words[0]), &t.lockFor(&words[0]));
-    // ...and sub-word addresses within one 8-byte stripe share it.
-    EXPECT_EQ(&t.lockFor(&words[0]),
-              &t.lockFor(reinterpret_cast<char *>(&words[0]) + 7));
-    // Adjacent words rarely all collide: count distinct locks.
+    alignas(64) uint8_t lines[256 * 64];
+    // Every byte of one 64-byte line maps to the line's one lock...
+    for (size_t b = 0; b < 64; ++b)
+        EXPECT_EQ(&t.lockFor(&lines[0]), &t.lockFor(&lines[b])) << b;
+    // ...and adjacent lines rarely collide: count distinct locks.
     std::set<mtm::LockTable::Word *> distinct;
-    for (auto &w : words)
-        distinct.insert(&t.lockFor(&w));
-    EXPECT_GT(distinct.size(), 200u) << "hash must spread adjacent words";
+    for (size_t l = 0; l < 256; ++l)
+        distinct.insert(&t.lockFor(&lines[l * 64]));
+    EXPECT_GT(distinct.size(), 200u) << "hash must spread adjacent lines";
 }
 
 TEST(LatencyAccount, VirtualModeAccumulatesWithoutSpinning)

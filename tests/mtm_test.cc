@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -66,26 +67,31 @@ pvar(Runtime &rt, const std::string &name)
 /** One-shot crash injector: fires once at the given event, then lets
  *  unwinding code proceed (its writes are dropped by crash()).  The
  *  hook can fire on any thread that drives the emulator (e.g. the
- *  truncator), so the one-shot latch is atomic. */
+ *  truncator), so the one-shot latch is atomic.  ScmContext calls a
+ *  copy of the hook outside its lock, so a thread may still run it
+ *  after this object is gone: the hook shares ownership of the latch
+ *  rather than pointing into this object. */
 class CrashAt
 {
   public:
     CrashAt(scm::ScmContext &c, uint64_t at) : c_(c)
     {
-        c_.setWriteHook([this, at](uint64_t n, scm::ScmContext::Event,
-                                   const void *, size_t) {
-            if (!fired_.load(std::memory_order_relaxed) && n >= at) {
-                fired_.store(true, std::memory_order_relaxed);
+        c_.setWriteHook([fired = fired_, at](uint64_t n,
+                                             scm::ScmContext::Event,
+                                             const void *, size_t) {
+            if (!fired->load(std::memory_order_relaxed) && n >= at) {
+                fired->store(true, std::memory_order_relaxed);
                 throw scm::CrashNow{n};
             }
         });
     }
     ~CrashAt() { c_.setWriteHook(nullptr); }
-    bool fired() const { return fired_.load(std::memory_order_relaxed); }
+    bool fired() const { return fired_->load(std::memory_order_relaxed); }
 
   private:
     scm::ScmContext &c_;
-    std::atomic<bool> fired_{false};
+    std::shared_ptr<std::atomic<bool>> fired_ =
+        std::make_shared<std::atomic<bool>>(false);
 };
 
 } // namespace
@@ -436,16 +442,18 @@ TEST(Mtm, StagedAllocationSurvivesCommitAndReclaimsOnCrash)
 
 TEST(Mtm, RandomizedSubWordDifferential)
 {
-    // Differential fuzz of the write-set barriers against a byte-level
-    // shadow: random (mis)aligned writes and reads inside transactions,
-    // read-own-writes through the bloom filter, sub-word merges, and
-    // post-commit memory equality.  Occasional user-exception rounds
-    // verify abort/reset reuse leaves no stale buffered state behind.
+    // Differential fuzz of the barriers against a byte-level shadow:
+    // random (mis)aligned writes and reads of up to 72 bytes inside
+    // transactions — whole lines, runs crossing line boundaries,
+    // read-own-writes, sub-word merges — and post-commit memory
+    // equality.  Occasional user-exception rounds verify abort/reset
+    // reuse leaves no stale buffered state behind.
     TempDir dir;
     scm::ScmContext c(scmCfg());
     scm::ScopedCtx guard(c);
     Runtime rt(rtCfg(dir.path()));
     constexpr size_t kBytes = 2048;
+    constexpr size_t kMaxLen = 72;
     auto *arr = static_cast<uint8_t *>(
         rt.regions().pstaticVar("fuzz_arr", kBytes, nullptr));
     std::vector<uint8_t> shadow(kBytes, 0);
@@ -458,16 +466,16 @@ TEST(Mtm, RandomizedSubWordDifferential)
             rt.atomic([&](mtm::Txn &tx) {
                 const int ops = 1 + int(rng() % 24);
                 for (int op = 0; op < ops; ++op) {
-                    const size_t len = 1 + size_t(rng() % 16);
+                    const size_t len = 1 + size_t(rng() % kMaxLen);
                     const size_t off = rng() % (kBytes - len);
                     if (rng() % 2) {
-                        uint8_t buf[16];
+                        uint8_t buf[kMaxLen];
                         for (size_t i = 0; i < len; ++i)
                             buf[i] = uint8_t(rng());
                         tx.write(arr + off, buf, len);
                         std::copy(buf, buf + len, staged.begin() + off);
                     } else {
-                        uint8_t got[16];
+                        uint8_t got[kMaxLen];
                         tx.read(got, arr + off, len);
                         ASSERT_EQ(0, std::memcmp(got, staged.data() + off,
                                                  len))
@@ -710,12 +718,14 @@ TEST(Mtm, LockTableHashDistributionTracksTableSize)
     // The stripe hash must select the TOP product bits for whatever the
     // table size is (a fixed shift mixes mid bits and silently degrades
     // non-default sizes).  Check spread for several sizes and strides:
-    // sequential words, line-strided, and page-strided addresses.
+    // sequential lines, every other line, and page-strided addresses
+    // (a stripe is one 64-byte line, so an 8-byte stride would map
+    // eight addresses to each lock by design).
     for (const size_t bits : {12u, 16u, 20u}) {
         mtm::LockTable lt(bits);
         const size_t size = lt.size();
         ASSERT_EQ(size, size_t(1) << bits);
-        for (const size_t stride : {8u, 64u, 4096u}) {
+        for (const size_t stride : {64u, 128u, 4096u}) {
             const size_t n = 4 * size;
             std::vector<uint32_t> loads(size, 0);
             uintptr_t a = 0x004000000000ULL;

@@ -5,17 +5,23 @@
  * full event sweeps for the fast scenarios (including the heap
  * crash-leak sweep: a crash at EVERY persistence event inside
  * pmalloc/pfree must leak or doubly-own nothing), strided sweeps for
- * the bigger ones, and the end-to-end detector check: an injected
- * one-fence protocol bug must be caught with a deterministically
- * replayable repro spec.
+ * the bigger ones, the epoch shapes the group-commit scenarios crash
+ * inside, and the end-to-end detector check: an injected one-fence
+ * protocol bug must be caught with a deterministically replayable
+ * repro spec.
  */
 
 #include <gtest/gtest.h>
 
 #include "crash/scenario.h"
 #include "crash/sweep.h"
+#include "mtm/group_commit.h"
+#include "obs/obs.h"
+#include "obs/stats_registry.h"
+#include "tests/test_util.h"
 
 namespace crash = mnemosyne::crash;
+namespace obs = mnemosyne::obs;
 namespace scm = mnemosyne::scm;
 
 namespace {
@@ -95,6 +101,54 @@ TEST(Sweeper, EventCountIsDeterministic)
     for (const auto &name : {"rawl", "heap", "region"})
         EXPECT_EQ(sweeper.countEvents(name), sweeper.countEvents(name))
             << name;
+}
+
+TEST(Sweeper, EpochScenariosSealOneWholeEpochPerSync)
+{
+    // The group-commit sweeps crash inside epochs of a known shape:
+    // without a crash, every sync() of the workload seals exactly one
+    // epoch holding all of its members.  Members that conflicted on a
+    // stripe would abort, and the abort backoff would seal extra,
+    // smaller epochs mid-batch — still whole-epoch on recovery, but not
+    // the batches the sweep is meant to crash inside.
+    crash::registerBuiltinScenarios();
+    const struct {
+        const char *name;
+        uint64_t epochs;
+        uint64_t members;
+    } cases[] = {{"group_commit", 2, 3}, {"compact_redo_gc", 2, 2}};
+    const bool statsWereOn = obs::enabled();
+    obs::setEnabled(true);
+    auto &reg = obs::StatsRegistry::instance();
+    for (const auto &k : cases) {
+        mnemosyne::test::TempDir dir;
+        scm::ScmContext c{scm::ScmConfig{}};
+        scm::ScopedCtx guard(c);
+        mnemosyne::RuntimeConfig rc;
+        rc.use_current_scm_context = true;
+        rc.region = mnemosyne::test::smallRegionConfig(dir.path());
+        rc.small_heap_bytes = 4 << 20;
+        rc.big_heap_bytes = 4 << 20;
+        rc.txn.log_slots = 8;
+        rc.txn.log_slot_bytes = 256 * 1024;
+        auto sc = crash::ScenarioRegistry::instance().create(k.name);
+        sc->configure(rc);
+        mnemosyne::Runtime rt(rc);
+        crash::ScenarioEnv env{rt, c};
+        sc->prepare(env);
+
+        const uint64_t rounds0 = rt.txns().combiner()->rounds();
+        const auto before = reg.rawSnapshot().hdrs.at("mtm.epoch_batch");
+        sc->workload(env);
+        const auto batch =
+            reg.rawSnapshot().hdrs.at("mtm.epoch_batch") - before;
+        EXPECT_EQ(rt.txns().combiner()->rounds() - rounds0, k.epochs)
+            << k.name;
+        EXPECT_EQ(batch.count, k.epochs) << k.name;
+        EXPECT_EQ(batch.quantile(0.0), k.members) << k.name;
+        EXPECT_EQ(batch.quantile(1.0), k.members) << k.name;
+    }
+    obs::setEnabled(statsWereOn);
 }
 
 TEST(Sweeper, RawlFullSweepHasNoFailures)

@@ -2,8 +2,8 @@
  * @file
  * Randomized differential tests of the STM fast-path containers
  * (mtm/write_set.h) against std::unordered_map references: inserts,
- * overwrites, probes, O(1) clear with generation reuse, growth under
- * load, and the bloom filter's no-false-negative guarantee.
+ * overwrites, probes, O(1) clear with generation reuse, and growth
+ * under load.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "mtm/write_set.h"
 
 using mnemosyne::mtm::DenseMap;
-using mnemosyne::mtm::WriteSet;
 
 namespace {
 
@@ -108,48 +107,5 @@ TEST(DenseMap, GrowthPreservesEntriesAndInsertionOrder)
         const uint64_t *v = dut.find(keys[i]);
         ASSERT_NE(v, nullptr);
         ASSERT_EQ(*v, i);
-    }
-}
-
-TEST(WriteSet, DifferentialWithBloomFilter)
-{
-    std::mt19937_64 rng(0xb100u);
-    WriteSet dut;
-    std::unordered_map<uintptr_t, uint64_t> ref;
-
-    for (int round = 0; round < 100; ++round) {
-        const size_t pool = 1 + size_t(rng() % 256);
-        const int ops = 1 + int(rng() % 200);
-        for (int op = 0; op < ops; ++op) {
-            const uintptr_t key = randomAddr(rng, pool);
-            if (rng() % 2) {
-                const uint64_t val = rng();
-                dut.put(key, val);
-                ref[key] = val;
-            } else {
-                const uint64_t *v =
-                    dut.mayContain(key) ? dut.find(key) : nullptr;
-                const auto it = ref.find(key);
-                if (it == ref.end()) {
-                    ASSERT_EQ(v, nullptr);
-                } else {
-                    // The filter must never produce a false negative:
-                    // the read-own-writes barrier depends on it.
-                    ASSERT_TRUE(dut.mayContain(key));
-                    ASSERT_NE(v, nullptr);
-                    ASSERT_EQ(*v, it->second);
-                }
-            }
-        }
-        for (const auto &[key, val] : ref) {
-            ASSERT_TRUE(dut.mayContain(key));
-            const uint64_t *v = dut.find(key);
-            ASSERT_NE(v, nullptr);
-            ASSERT_EQ(*v, val);
-        }
-        dut.clear();
-        ref.clear();
-        // After clear (abort/reset reuse) the filter is empty again.
-        ASSERT_FALSE(dut.mayContain(randomAddr(rng, pool)));
     }
 }
