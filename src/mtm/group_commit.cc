@@ -72,9 +72,14 @@ EpochCombiner::joinAsync(const Member &m, Pending &&p)
 {
     std::unique_lock<std::mutex> g(mu_);
     members_.push_back(m);
+    const uint64_t e = openEpoch_;
+    // Mark the stripes retiring under mu_: the round that releases them
+    // takes pendings_ under mu_ too, so it always finds the mark written.
+    for (uintptr_t slot : p.lockSlots)
+        reinterpret_cast<LockTable::Word *>(slot)->store(
+            LockTable::makeRetiring(e), std::memory_order_release);
     pendings_.push_back(std::move(p));
     ctrs().async_commits.add(1);
-    const uint64_t e = openEpoch_;
     if (gracers_ > 0)
         cv_.notify_all();
     if (members_.size() >= maxBatch_ && !combining_)

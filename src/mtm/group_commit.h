@@ -40,9 +40,15 @@
  *    returns at logical commit and hands its write-back, lock release,
  *    and truncation enqueue to the combiner (Pending).
  *  - Consequently an async transaction's stripe locks stay held until
- *    its epoch retires.  A conflicting transaction aborts, and the
- *    manager's backoff nudges the truncator, whose poll retires the
- *    epoch — bounded by the epoch timeout, so conflicts make progress.
+ *    its epoch retires.  joinAsync marks them retiring with the epoch
+ *    (lock_table.h), and a read or write barrier that meets such a
+ *    stripe waits for the epoch — waitRetired without linger, which
+ *    seals the open epoch at once or waits for the round in flight —
+ *    then reads the word again.  It neither aborts nor depends on the
+ *    truncator's poll, and it still sees the line's new value only
+ *    after the epoch's fence.  Owner-locked stripes (transactions in
+ *    flight, synchronous commits) still abort the requester; the
+ *    manager's backoff then drives tryAdvance().
  *
  * Recovery rule (whole-epoch all-or-nothing): an epoch is replayed iff
  * its marker survives and EVERY member record either survives wholly or
@@ -81,7 +87,8 @@ class EpochCombiner
     };
 
     /** Work a `commit_async` transaction defers to epoch retirement:
-     *  in-place write-back, lock release, truncation enqueue. */
+     *  in-place write-back, lock release, truncation enqueue.  Joining
+     *  marks the lockSlots stripes retiring with the epoch. */
     struct Pending {
         std::vector<WriteSet::Item> items;   ///< Addr-sorted new values.
         std::vector<uintptr_t> dataWords;    ///< Sorted dirty word addrs.
@@ -110,8 +117,10 @@ class EpochCombiner
      */
     uint64_t joinSync(const Member &m);
 
-    /** Register an async commit and its deferred work.  Returns the
-     *  epoch ticket; the caller returns to the application at once. */
+    /** Register an async commit and its deferred work, and mark its
+     *  stripes retiring with the epoch (LockTable::makeRetiring).
+     *  Returns the epoch ticket; the caller returns to the application
+     *  at once. */
     uint64_t joinAsync(const Member &m, Pending &&p);
 
     /**
@@ -122,8 +131,9 @@ class EpochCombiner
      *
      * With @p linger (synchronous commits only) a free waiter first
      * naps in grace while peers may still join the epoch; without it
-     * (explicit wait(ticket)/sync(): the caller has already gathered
-     * its batch) the open epoch is sealed at once.
+     * (explicit wait(ticket)/sync(), and a barrier that met a retiring
+     * stripe: the caller has already gathered its batch, or cannot go
+     * on without the epoch) the open epoch is sealed at once.
      */
     void waitRetired(uint64_t epoch, bool linger);
 

@@ -9,11 +9,22 @@
  * works in (flush, write-back, truncation dedup) — so a barrier over a
  * run of words inside one line takes one lock and one read-set entry.
  * Lines are hashed onto the array, so a slot may also cover unrelated
- * lines that collide.  Each slot is one 64-bit word: bit 0 set means
- * locked (the upper bits then hold the owner's transaction id); bit 0
- * clear means unlocked (the upper bits hold the version — the commit
- * timestamp of the last transaction that wrote any address covered by
- * the slot).
+ * lines that collide.  Each slot is one 64-bit word in one of three
+ * forms:
+ *
+ *  - unlocked, bit 0 clear: the upper 63 bits hold the version — the
+ *    commit timestamp of the last transaction that wrote any address
+ *    covered by the slot;
+ *  - owner-locked, bits 1..0 = 01: bits 63..2 hold the owning
+ *    transaction's id (a transaction in flight, or a synchronous commit
+ *    that writes back after its own epoch wait);
+ *  - retiring, bits 1..0 = 11: bits 63..2 hold a fence epoch.  A
+ *    `commit_async` transaction has committed and keeps the stripe only
+ *    until that epoch retires (group_commit.h); a barrier that meets
+ *    the word waits for the epoch instead of aborting.
+ *
+ * Ownership is tested on the whole word (ownedBy), so an epoch number
+ * can never pass for a transaction id.
  */
 
 #ifndef MNEMOSYNE_MTM_LOCK_TABLE_H_
@@ -69,9 +80,12 @@ class LockTable
     }
 
     static bool isLocked(uint64_t v) { return v & 1; }
-    static uint64_t owner(uint64_t v) { return v >> 1; }
+    static bool isRetiring(uint64_t v) { return (v & 3) == 3; }
+    static bool ownedBy(uint64_t v, uint64_t id) { return v == makeLocked(id); }
+    static uint64_t epoch(uint64_t v) { return v >> 2; }
     static uint64_t version(uint64_t v) { return v >> 1; }
-    static uint64_t makeLocked(uint64_t owner) { return (owner << 1) | 1; }
+    static uint64_t makeLocked(uint64_t owner) { return (owner << 2) | 1; }
+    static uint64_t makeRetiring(uint64_t epoch) { return (epoch << 2) | 3; }
     static uint64_t makeVersion(uint64_t ts) { return ts << 1; }
 
     size_t size() const { return mask_ + 1; }

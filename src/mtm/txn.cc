@@ -37,6 +37,20 @@ wordsSavedCtr()
  *  compact encoding is off (live schema checks rely on presence). */
 [[maybe_unused]] obs::Counter &gWordsSavedEager = wordsSavedCtr();
 
+/** Barrier waits on a retiring stripe: each one is a conflict with a
+ *  committed `commit_async` transaction that waited for its epoch
+ *  instead of aborting. */
+obs::Counter &
+retiringWaitsCtr()
+{
+    static obs::Counter c{"mtm.retiring_waits"};
+    return c;
+}
+
+/** Touch at load, like the mtm.epoch_* keys: present with group commit
+ *  off too. */
+[[maybe_unused]] obs::Counter &gRetiringWaitsEager = retiringWaitsCtr();
+
 obs::HdrHistogram &
 syncTruncHist()
 {
@@ -132,7 +146,7 @@ Txn::validateOrAbort(const char *why)
         const uint64_t cur = lock->load(std::memory_order_acquire);
         if (cur == it.val)
             continue;
-        if (LockTable::isLocked(cur) && LockTable::owner(cur) == id_) {
+        if (LockTable::ownedBy(cur, id_)) {
             const uint64_t *prev = lockPrev_.find(it.key);
             if (prev && *prev == it.val)
                 continue;
@@ -155,13 +169,29 @@ Txn::recordRead(LockTable::Word &lock, uint64_t seen)
 }
 
 void
+Txn::awaitRetired(uint64_t word)
+{
+    // The stripe's holder has committed and only waits for its fence
+    // epoch; no abort can make it let go sooner.  Seal that epoch (or
+    // wait for the round in flight) and let the caller read the word
+    // again.
+    retiringWaitsCtr().add(1);
+    mgr_.combiner_->waitRetired(LockTable::epoch(word), /*linger=*/false);
+}
+
+void
 Txn::acquire(LockTable::Word &lock)
 {
     uint64_t cur = lock.load(std::memory_order_acquire);
     for (;;) {
         if (LockTable::isLocked(cur)) {
-            if (LockTable::owner(cur) == id_)
+            if (LockTable::ownedBy(cur, id_))
                 return; // already mine
+            if (LockTable::isRetiring(cur)) {
+                awaitRetired(cur);
+                cur = lock.load(std::memory_order_acquire);
+                continue;
+            }
             // Eager conflict detection: the encounter-time policy aborts
             // the requester; the atomic() wrapper backs off and retries.
             abort("write-write conflict");
@@ -188,12 +218,14 @@ Txn::readRun(uint8_t *dst, uintptr_t addr, size_t len)
             .load(std::memory_order_relaxed);
     };
     auto &lock = mgr_.locks_.lockFor(reinterpret_cast<void *>(addr));
-    for (int attempt = 0;; ++attempt) {
-        if (attempt == 4)
-            abort("unstable read");
+    for (int attempt = 0;;) {
         const uint64_t v1 = lock.load(std::memory_order_acquire);
         if (LockTable::isLocked(v1)) {
-            if (LockTable::owner(v1) != id_)
+            if (LockTable::isRetiring(v1)) {
+                awaitRetired(v1);
+                continue; // a wait is not an unstable read
+            }
+            if (!LockTable::ownedBy(v1, id_))
                 abort("read-write conflict");
             // I hold the stripe, so memory is stable under my lock and
             // my buffered words are the only newer values.  Holding it
@@ -215,8 +247,12 @@ Txn::readRun(uint8_t *dst, uintptr_t addr, size_t len)
         for (size_t i = 0; i < nwords; ++i)
             vals[i] = load(first + 8 * i);
         const uint64_t v2 = lock.load(std::memory_order_acquire);
-        if (v1 != v2)
-            continue; // concurrent writer slipped in; retry the read
+        if (v1 != v2) {
+            // A concurrent writer slipped in; retry the read.
+            if (++attempt == 4)
+                abort("unstable read");
+            continue;
+        }
         if (LockTable::version(v1) > startTs_)
             extend();
         recordRead(lock, v1);
@@ -478,9 +514,10 @@ Txn::commit()
                 // are deferred to the combiner at epoch retirement —
                 // writing back earlier would let cache eviction persist
                 // in-place data ahead of its (unfenced) log record,
-                // breaking the whole-epoch atomicity guarantee.  Until
-                // the epoch retires (bounded by the epoch timeout),
-                // conflicting transactions abort and retry.
+                // breaking the whole-epoch atomicity guarantee.  Joining
+                // the epoch marks the stripes retiring, so until it
+                // retires a conflicting barrier waits for it instead of
+                // aborting.
                 EpochCombiner::Pending p;
                 p.items = std::move(sortScratch_);
                 p.dataWords.reserve(persistScratch_.size());

@@ -134,6 +134,8 @@ class Txn
     void readRun(uint8_t *dst, uintptr_t addr, size_t len);
     void recordRead(LockTable::Word &lock, uint64_t seen);
     void acquire(LockTable::Word &lock);
+    /** Wait for the epoch of a retiring lock word (lock_table.h). */
+    void awaitRetired(uint64_t word);
     void validateOrAbort(const char *why);
     void extend();
     void stageAndAppendRedo(uint64_t ts, bool epoch_mode);
@@ -174,8 +176,11 @@ class Txn
     std::vector<std::function<void()>> abortHooks_;
     std::vector<std::function<void()>> commitHooks_;
 
-    // Reusable commit-path scratch: commit allocates nothing once these
-    // reach their high-water capacity.
+    // Reusable commit-path scratch.  With synchronous truncation and no
+    // group commit, commit allocates nothing once these reach their
+    // high-water capacity; otherwise it allocates the truncation task's
+    // word vector, and a commit_async commit hands sortScratch_'s buffer
+    // (plus two new vectors) to the combiner (EpochCombiner::Pending).
     std::vector<WriteSet::Item> sortScratch_;   ///< Write set, addr-sorted.
     std::vector<WriteSet::Item> persistScratch_; ///< Persistent subset.
     std::vector<uintptr_t> lineScratch_;        ///< Distinct dirty lines.

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cassert>
+#include <chrono>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -15,6 +16,9 @@
 namespace mnemosyne::mtm {
 
 namespace {
+
+/** Upper bound of a conflict backoff's randomized delay. */
+constexpr uint64_t kMaxBackoffUs = 50;
 
 uint64_t
 nextMgrId()
@@ -329,28 +333,31 @@ TxnManager::commit(Txn &tx)
 void
 TxnManager::backoff(int attempt)
 {
-    // With the combiner on, the lock we just lost to may belong to an
-    // async transaction that releases only at epoch retirement.  Drive
-    // a combine round from THIS thread — a conflict forces the epoch
-    // closed — so progress never depends on the truncator's poll (which
-    // may be paused, e.g. under the crash sweeper).  Then kick the
-    // truncator anyway so the retired epoch's log space is reclaimed.
+    // With the combiner on, the lock we just lost to may belong to a
+    // synchronous commit that releases it only after its epoch retires,
+    // or to a transaction still in flight that is about to join the
+    // open epoch.  (A committed async transaction's stripes are marked
+    // retiring, and barriers wait for those instead of aborting.)
+    // Drive a combine round from THIS thread — a conflict forces the
+    // epoch closed — so progress never depends on the truncator's poll
+    // (which may be paused, e.g. under the crash sweeper).  Then kick
+    // the truncator anyway so the retired epoch's log space is
+    // reclaimed.
     if (combiner_) {
         combiner_->tryAdvance();
         truncator_->nudge();
     }
-    // Randomized exponential backoff after a conflict abort.
+    // Randomized exponential backoff after a conflict abort.  Yield
+    // until the drawn deadline rather than sleep: a timed sleep of a
+    // microsecond or two can last tens of microseconds, past the cap.
     thread_local std::mt19937_64 rng{std::random_device{}()};
     const uint64_t cap =
-        std::min<uint64_t>(cfg_.max_backoff_us, 1ULL << std::min(attempt, 12));
-    if (cap == 0)
-        return;
-    const uint64_t us = rng() % (cap + 1);
-    if (us == 0) {
+        std::min<uint64_t>(kMaxBackoffUs, 1ULL << std::min(attempt, 12));
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(rng() % (cap + 1));
+    do {
         std::this_thread::yield();
-    } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(us));
-    }
+    } while (std::chrono::steady_clock::now() < deadline);
 }
 
 void

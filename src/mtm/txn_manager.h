@@ -38,7 +38,6 @@ struct TxnConfig {
     /** log2 of the lock-table size; each lock covers the 64-byte
      *  cache lines that hash to it (lock_table.h). */
     size_t lock_bits = 20;
-    size_t max_backoff_us = 50;
 
     /** Compact (v2) redo records: varint run-length address stream
      *  instead of a full 8-byte address per value (redo_codec.h).
@@ -144,10 +143,12 @@ class TxnManager
      *
      * Note the write-ahead consequence: the in-place write-back and
      * stripe-lock release also happen at retirement, so a conflicting
-     * transaction started in the window aborts and retries (bounded by
-     * the epoch timeout).  Tickets are process-local and remain valid
-     * after the committing thread exits (epochs are manager state, and
-     * log leases are recycled, not torn down, on thread exit).
+     * transaction that reaches one of the stripes in the window waits
+     * in its barrier for the epoch, which it seals at once (the stripe
+     * is marked retiring, lock_table.h); it does not abort.  Tickets
+     * are process-local and remain valid after the committing thread
+     * exits (epochs are manager state, and log leases are recycled,
+     * not torn down, on thread exit).
      */
     template <typename Fn>
     CommitTicket

@@ -6,15 +6,17 @@
  * epochs, tickets outliving their issuing thread via log-lease
  * recycling, whole-epoch recovery, fence amortization, the sealing
  * contract (explicit waits seal at once, sync commits linger), the
- * stripe locks an async commit holds until retirement (one per line),
- * and the tiny-log backoff/truncator interaction regression.
+ * stripe locks an async commit holds until retirement (one per line,
+ * marked retiring with its epoch), barriers that wait for such an
+ * epoch instead of aborting, and the tiny-log backoff/truncator
+ * interaction regression.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
-#include <set>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -378,22 +380,92 @@ TEST(GroupCommit, AsyncCommitLocksOneStripePerLine)
         val[i] = uint8_t(i + 1);
     auto lockedStripes = [&] {
         auto &locks = rt.txns().locks();
-        std::set<const mtm::LockTable::Word *> held;
+        std::map<const mtm::LockTable::Word *, uint64_t> held;
         for (size_t i = 0; i < sizeof(val); ++i) {
             const auto &l = locks.lockFor(dst + i);
-            if (mtm::LockTable::isLocked(l.load()))
-                held.insert(&l);
+            const uint64_t w = l.load();
+            if (mtm::LockTable::isLocked(w))
+                held[&l] = w;
         }
-        return held.size();
+        return held;
     };
 
     auto t = rt.atomicAsync(
         [&](mtm::Txn &tx) { tx.write(dst, val, sizeof(val)); });
     ASSERT_TRUE(t.pending());
-    EXPECT_EQ(lockedStripes(), 3u);
+    const auto held = lockedStripes();
+    EXPECT_EQ(held.size(), 3u);
+    // Each held word is marked retiring with the ticket's epoch.
+    for (const auto &[lock, w] : held) {
+        EXPECT_TRUE(mtm::LockTable::isRetiring(w));
+        EXPECT_EQ(mtm::LockTable::epoch(w), t.epoch);
+    }
     rt.wait(t);
-    EXPECT_EQ(lockedStripes(), 0u);
+    EXPECT_EQ(lockedStripes().size(), 0u);
     EXPECT_EQ(0, std::memcmp(dst, val, sizeof(val)));
+
+    rt.txns().resumeTruncation();
+}
+
+TEST(GroupCommit, ReaderWaitsForRetiringEpoch)
+{
+    // A reader that meets the stripe of a committed async writer waits
+    // for the writer's fence epoch instead of aborting: it reads the
+    // new value, only once the epoch has retired, and nothing aborts.
+    const bool statsWereOn = obs::enabled();
+    obs::setEnabled(true);
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(gcCfg(dir.path()));
+    uint64_t *x = pvar(rt, "x");
+    // Only the reader may retire the epoch below.
+    rt.txns().pauseTruncation();
+
+    auto t = rt.atomicAsync([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 1); });
+    ASSERT_TRUE(t.pending());
+    const uint64_t aborts0 = rt.txns().stats().aborts;
+    const uint64_t waits0 = statCounter("mtm.retiring_waits");
+    uint64_t seen = 0;
+    uint64_t retired = 0;
+    std::thread reader([&] {
+        rt.atomic([&](mtm::Txn &tx) {
+            seen = tx.readT<uint64_t>(x);
+            retired = rt.txns().combiner()->retiredEpoch();
+        });
+    });
+    reader.join();
+    EXPECT_EQ(seen, 1u);
+    EXPECT_EQ(rt.txns().stats().aborts, aborts0);
+    EXPECT_GE(retired, t.epoch) << "read the value before its fence";
+    EXPECT_EQ(statCounter("mtm.retiring_waits"), waits0 + 1);
+
+    rt.txns().resumeTruncation();
+    obs::setEnabled(statsWereOn);
+}
+
+TEST(GroupCommit, WriterWaitsForRetiringEpoch)
+{
+    // Back-to-back async writes to one word from one thread: the second
+    // transaction's write barrier meets the first one's retiring stripe,
+    // seals its epoch and takes the stripe, without an abort.
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(gcCfg(dir.path()));
+    uint64_t *x = pvar(rt, "x");
+    // Only this thread may retire the epochs below.
+    rt.txns().pauseTruncation();
+
+    const uint64_t aborts0 = rt.txns().stats().aborts;
+    auto t1 = rt.atomicAsync([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 1); });
+    auto t2 = rt.atomicAsync([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 2); });
+    EXPECT_EQ(rt.txns().stats().aborts, aborts0);
+    ASSERT_TRUE(t1.pending());
+    ASSERT_TRUE(t2.pending());
+    EXPECT_GT(t2.epoch, t1.epoch);
+    rt.wait(t2);
+    EXPECT_EQ(*x, 2u);
 
     rt.txns().resumeTruncation();
 }

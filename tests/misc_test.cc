@@ -49,7 +49,22 @@ TEST(LockTable, EncodingRoundTrips)
     EXPECT_TRUE(mtm::LockTable::isLocked(mtm::LockTable::makeLocked(7)));
     EXPECT_EQ(mtm::LockTable::version(mtm::LockTable::makeVersion(123)),
               123u);
-    EXPECT_EQ(mtm::LockTable::owner(mtm::LockTable::makeLocked(99)), 99u);
+    EXPECT_TRUE(mtm::LockTable::ownedBy(mtm::LockTable::makeLocked(99), 99));
+    // A retiring word (a committed async transaction's stripe, held
+    // until its fence epoch retires) is locked and carries its epoch...
+    const uint64_t r = mtm::LockTable::makeRetiring(42);
+    EXPECT_TRUE(mtm::LockTable::isLocked(r));
+    EXPECT_TRUE(mtm::LockTable::isRetiring(r));
+    EXPECT_EQ(mtm::LockTable::epoch(r), 42u);
+    // ...and no transaction owns it, not even one whose id equals the
+    // epoch.
+    EXPECT_FALSE(mtm::LockTable::ownedBy(r, 42));
+    // An owner-locked word is owned by its owner alone and not retiring.
+    const uint64_t o = mtm::LockTable::makeLocked(42);
+    EXPECT_TRUE(mtm::LockTable::ownedBy(o, 42));
+    EXPECT_FALSE(mtm::LockTable::ownedBy(o, 43));
+    EXPECT_FALSE(mtm::LockTable::isRetiring(o));
+    EXPECT_FALSE(mtm::LockTable::isRetiring(mtm::LockTable::makeVersion(3)));
 }
 
 TEST(LockTable, SameStripeSameLockDifferentWordsSpread)

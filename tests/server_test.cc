@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -199,6 +200,44 @@ TEST(KvServer, PipelinedRequestsAckInOrder)
     ASSERT_EQ(f.client.get("p" + std::to_string((kDepth - 1) % 7), &v),
               srv::Status::kOk);
     EXPECT_EQ(v, "v" + std::to_string(kDepth - 1));
+}
+
+TEST(KvServer, PipelinedReadAfterWriteWaitsInsteadOfAborting)
+{
+    // One loop, one connection: each GET is pipelined right behind a
+    // PUT of the same key, so it meets the PUT's stripes while the
+    // PUT's epoch is still open.  The GET waits for that epoch (sealing
+    // it at once) and returns the new value.  A single loop never meets
+    // a transaction still in flight, so nothing aborts.
+    ServerFixture f({.workers = 1});
+    constexpr int kKeys = 8;
+    constexpr int kPairs = 200;
+    auto key = [](int i) { return "raw" + std::to_string(i % kKeys); };
+    auto value = [](int i) {
+        char v[8];
+        std::snprintf(v, sizeof(v), "v%03d", i);
+        return std::string(v);
+    };
+    for (int k = 0; k < kKeys; ++k)
+        ASSERT_EQ(f.client.put(key(k), "init"), srv::Status::kOk);
+    const uint64_t aborts0 = f.rt.txns().stats().aborts;
+
+    // Same-length values: every PUT takes the in-place path.
+    for (int i = 0; i < kPairs; ++i) {
+        f.client.sendRaw(srv::Op::kPut, key(i), value(i));
+        f.client.sendRaw(srv::Op::kGet, key(i), "");
+    }
+    ASSERT_TRUE(f.client.flush());
+    for (int i = 0; i < kPairs; ++i) {
+        srv::KvClient::Response put;
+        srv::KvClient::Response get;
+        ASSERT_TRUE(f.client.recvOne(&put));
+        ASSERT_TRUE(f.client.recvOne(&get));
+        ASSERT_EQ(put.status, srv::Status::kOk);
+        ASSERT_EQ(get.status, srv::Status::kOk);
+        EXPECT_EQ(get.value, value(i)) << "pair " << i;
+    }
+    EXPECT_EQ(f.rt.txns().stats().aborts, aborts0);
 }
 
 TEST(KvServer, BatchIsOneTransaction)
