@@ -294,16 +294,20 @@ runUpdateTxnMeasurement()
 }
 
 /**
- * The PR9 persist-path bandwidth measurements, both on exact emulator
- * counters (immune to scheduler noise on a 1-CPU host):
+ * The persist-path bandwidth measurements, both on exact emulator
+ * counters (immune to scheduler noise):
  *
  *  - Log bytes per transaction on the 4-word clustered update shape
- *    (one write() span), v1 vs the compact v2 record — the framed
+ *    (one write() span) with the compact v2 record — the framed
  *    rawl.append_words delta is everything the log stages, flushes, and
- *    tornbit-restages.  Acceptance: v2 <= 0.65x v1.
+ *    tornbit-restages.  The v1 reference follows from the record
+ *    format: [tag, ts, 4 x (addr, val)] is 10 payload words, 12 after
+ *    tornbit framing.  Mtm.CompactRecordLogWordsPerClusteredTxn gates
+ *    the count (7 framed words, <= 0.65x v1).
  *  - Truncator flushes per transaction on a hot-key shape (every txn
- *    rewrites the same line), per-task write-back vs the batch-merged
- *    dedup.  Acceptance: >= 2x reduction.
+ *    rewrites the same line) with the batch-merged drain.  A per-task
+ *    drain would flush each task's one line: 1.000 per txn.
+ *    Mtm.TruncatorFlushesHotLineOncePerBatch gates the count.
  */
 std::vector<std::pair<std::string, double>>
 runPersistPathMeasurement()
@@ -316,16 +320,13 @@ runPersistPathMeasurement()
     std::vector<std::pair<std::string, double>> metrics;
     const auto &reg = mnemosyne::obs::StatsRegistry::instance();
 
-    // --- Clustered-update log bytes, v1 vs v2 -------------------------
-    double bytes_per_txn[2] = {0, 0};
-    for (const bool compact : {false, true}) {
-        bench::ScratchDir dir(compact ? "persist_bytes_v2"
-                                      : "persist_bytes_v1");
+    // --- Clustered-update log bytes, v2 against the v1 format --------
+    {
+        bench::ScratchDir dir("persist_bytes_v2");
         scm::ScmContext ctx(cfg);
         scm::setCtx(&ctx);
         auto rtcfg = bench::paperRuntimeConfig(dir.path());
-        rtcfg.region.va_base += size_t(compact ? 96 : 80) << 30;
-        rtcfg.txn.compact_redo = compact;
+        rtcfg.region.va_base += size_t(96) << 30;
         mnemosyne::Runtime rt(rtcfg);
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "persist_arr", 4096 * sizeof(uint64_t), nullptr));
@@ -351,33 +352,28 @@ runPersistPathMeasurement()
             return (bench::statValue(after, key) -
                     bench::statValue(before, key)) / double(kTxns);
         };
-        bytes_per_txn[compact] = 8.0 * delta("rawl.append_words");
-        if (compact) {
-            metrics.emplace_back("clustered_record_words_saved_per_txn",
-                                 delta("rawl.record_words_saved"));
-        }
+        const double v2 = 8.0 * delta("rawl.append_words");
+        // v1: 1 header word + ceil(64 * 10 / 63) tornbit-framed words.
+        constexpr size_t kV1Payload = 2 + 2 * 4;
+        const double v1 = 8.0 * double(1 + (64 * kV1Payload + 62) / 63);
+        metrics.emplace_back("clustered_record_words_saved_per_txn",
+                             delta("rawl.record_words_saved"));
+        metrics.emplace_back("clustered_log_bytes_per_txn_v1", v1);
+        metrics.emplace_back("clustered_log_bytes_per_txn_v2", v2);
+        metrics.emplace_back("clustered_log_bytes_v2_over_v1", v2 / v1);
+        std::printf("clustered 4-word txn log bytes: v2 %.1f (v1 format "
+                    "%.1f, ratio %.3f)\n",
+                    v2, v1, v2 / v1);
     }
-    metrics.emplace_back("clustered_log_bytes_per_txn_v1",
-                         bytes_per_txn[0]);
-    metrics.emplace_back("clustered_log_bytes_per_txn_v2",
-                         bytes_per_txn[1]);
-    const double bytes_ratio = bytes_per_txn[1] / bytes_per_txn[0];
-    metrics.emplace_back("clustered_log_bytes_v2_over_v1", bytes_ratio);
-    std::printf("clustered 4-word txn log bytes: v1 %.1f, v2 %.1f "
-                "(ratio %.3f)\n",
-                bytes_per_txn[0], bytes_per_txn[1], bytes_ratio);
 
-    // --- Hot-key truncation flushes, per-task vs batch dedup ----------
-    double flushes_per_txn[2] = {0, 0};
-    for (const bool dedup : {false, true}) {
-        bench::ScratchDir dir(dedup ? "persist_dedup_on"
-                                    : "persist_dedup_off");
+    // --- Hot-key truncation flushes, batch-merged drain --------------
+    {
+        bench::ScratchDir dir("persist_dedup");
         scm::ScmContext ctx(cfg);
         scm::setCtx(&ctx);
         auto rtcfg = bench::paperRuntimeConfig(
             dir.path(), mnemosyne::mtm::Truncation::kAsync);
-        rtcfg.region.va_base += size_t(dedup ? 128 : 112) << 30;
-        rtcfg.txn.trunc_batch_dedup = dedup;
+        rtcfg.region.va_base += size_t(128) << 30;
         mnemosyne::Runtime rt(rtcfg);
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "hotkey_arr", 64 * sizeof(uint64_t), nullptr));
@@ -396,20 +392,17 @@ runPersistPathMeasurement()
         rt.txns().resumeTruncation();
         rt.txns().drainTruncation();
         const scm::ScmStats s1 = ctx.statsSnapshot();
-        flushes_per_txn[dedup] =
-            double(s1.flushes - s0.flushes) / double(kTxns);
+        const double dedup = double(s1.flushes - s0.flushes) / double(kTxns);
+        const double per_task = 1.0; // one dirty line per task
+        const double factor = dedup > 0 ? per_task / dedup : 0.0;
+        metrics.emplace_back("hotkey_trunc_flushes_per_txn_nodedup",
+                             per_task);
+        metrics.emplace_back("hotkey_trunc_flushes_per_txn_dedup", dedup);
+        metrics.emplace_back("hotkey_trunc_dedup_factor", factor);
+        std::printf("hot-key truncation flushes/txn: batch dedup %.4f "
+                    "(per-task drain %.3f, %.0fx)\n",
+                    dedup, per_task, factor);
     }
-    metrics.emplace_back("hotkey_trunc_flushes_per_txn_nodedup",
-                         flushes_per_txn[0]);
-    metrics.emplace_back("hotkey_trunc_flushes_per_txn_dedup",
-                         flushes_per_txn[1]);
-    const double factor = flushes_per_txn[1] > 0
-                              ? flushes_per_txn[0] / flushes_per_txn[1]
-                              : 0.0;
-    metrics.emplace_back("hotkey_trunc_dedup_factor", factor);
-    std::printf("hot-key truncation flushes/txn: per-task %.3f, batch "
-                "dedup %.4f (%.0fx)\n",
-                flushes_per_txn[0], flushes_per_txn[1], factor);
 
     scm::setCtx(&env().ctx);
     return metrics;

@@ -599,19 +599,20 @@ class GroupCommitScenario final : public Scenario
 };
 
 // ---------------------------------------------------------------------------
-// compact_redo / redo_v1 / compact_redo_gc: commit-record format
-// coverage.  Every transaction writes one clustered 3-word run (a
-// write() span) plus two scattered words on other cache lines — the
-// shape the compact (v2) record encodes as a multi-run varint stream
+// compact_redo / compact_redo_gc: commit-record format coverage.
+// Every transaction writes one clustered 3-word run (a write() span)
+// plus two scattered words on other cache lines — the shape the
+// compact (v2) record encodes as a multi-run varint stream
 // (redo_codec.h).  Transaction footprints are disjoint down to the
 // cache line (each run and each scattered word on a line of its own),
 // so recovery must land on an exact transaction prefix: any torn
 // record, a mis-decoded run, or a wrong base address shows up as a
 // torn or out-of-prefix transaction; and the group-commit variant's
-// members never abort on each other's stripe locks.  The three
-// registered variants pin the encoding knob (v2 default, v1 fallback)
-// and run the v2 records through the group-commit epoch path
-// (kTagCommitEpochV2 gated on the epoch marker).
+// members never abort on each other's stripe locks.  The second variant
+// runs the records through the group-commit epoch path
+// (kTagCommitEpochV2 gated on the epoch marker).  The retired v1
+// writer's record shapes are decode-only; tests/mtm_test.cc keeps them
+// under test with a hand-built v1 log fixture.
 // ---------------------------------------------------------------------------
 
 class RedoShapeScenario : public Scenario
@@ -636,19 +637,17 @@ class RedoShapeScenario : public Scenario
         return (kTxns + w - kScatterBase) * kLineWords;
     }
 
-    RedoShapeScenario(bool compact, bool gc) : compact_(compact), gc_(gc) {}
+    explicit RedoShapeScenario(bool gc) : gc_(gc) {}
 
     std::string
     name() const override
     {
-        return gc_ ? "compact_redo_gc"
-                   : (compact_ ? "compact_redo" : "redo_v1");
+        return gc_ ? "compact_redo_gc" : "compact_redo";
     }
 
     void
     configure(RuntimeConfig &cfg) override
     {
-        cfg.txn.compact_redo = compact_;
         if (gc_) {
             cfg.txn.group_commit = true;
             // Larger than any batch below: epochs seal only at sync(),
@@ -762,7 +761,6 @@ class RedoShapeScenario : public Scenario
     }
 
   private:
-    const bool compact_;
     const bool gc_;
     uint64_t *words_ = nullptr;
     uint64_t committed_ = 0;
@@ -849,16 +847,10 @@ registerBuiltinScenarios()
     r.add("group_commit",
           [] { return std::make_unique<GroupCommitScenario>(); });
     r.add("compact_redo", [] {
-        return std::make_unique<RedoShapeScenario>(/*compact=*/true,
-                                                   /*gc=*/false);
-    });
-    r.add("redo_v1", [] {
-        return std::make_unique<RedoShapeScenario>(/*compact=*/false,
-                                                   /*gc=*/false);
+        return std::make_unique<RedoShapeScenario>(/*gc=*/false);
     });
     r.add("compact_redo_gc", [] {
-        return std::make_unique<RedoShapeScenario>(/*compact=*/true,
-                                                   /*gc=*/true);
+        return std::make_unique<RedoShapeScenario>(/*gc=*/true);
     });
 }
 

@@ -114,10 +114,10 @@ class ScenarioRegistry
  *   hash    — PHashTable puts/deletes; contents match the committed
  *             operation prefix (one in-flight op allowed).
  *   group_commit — commit_async epochs; whole-epoch all-or-nothing.
- *   compact_redo / redo_v1 / compact_redo_gc — commit-record format
- *             coverage (v2 varint run-length stream, v1 fallback, v2
- *             under the epoch combiner); recovery must land on an
- *             exact transaction prefix.
+ *   compact_redo / compact_redo_gc — commit-record format coverage
+ *             (the v2 varint run-length stream, alone and under the
+ *             epoch combiner); recovery must land on an exact
+ *             transaction prefix.
  */
 void registerBuiltinScenarios();
 

@@ -239,22 +239,9 @@ EpochCombiner::combineRound(std::unique_lock<std::mutex> &g)
         //    write-back, so the truncator can never drop a record whose
         //    data is still nowhere.
         for (auto &p : pendings) {
-            for (size_t i = 0; i < p.items.size();) {
-                const uintptr_t start = p.items[i].key;
-                runScratch_.clear();
-                runScratch_.push_back(p.items[i].val);
-                size_t j = i + 1;
-                while (j < p.items.size() &&
-                       p.items[j].key == p.items[j - 1].key + 8) {
-                    runScratch_.push_back(p.items[j].val);
-                    ++j;
-                }
-                c.store(reinterpret_cast<void *>(start), runScratch_.data(),
-                        runScratch_.size() * sizeof(uint64_t));
-                i = j;
-            }
-            truncator_->enqueue(TruncationThread::Task{
-                p.log, p.toAbs, std::move(p.dataWords), e});
+            writeBack(c, p.items.data(), p.items.size(), runScratch_);
+            p.task.epoch = e;
+            truncator_->enqueue(std::move(p.task));
         }
     } catch (const scm::CrashNow &) {
         // Crash injection fired mid-round: the machine is dying, stop

@@ -69,11 +69,10 @@
 #include <vector>
 
 #include "log/rawl.h"
+#include "mtm/truncation.h"
 #include "mtm/write_set.h"
 
 namespace mnemosyne::mtm {
-
-class TruncationThread;
 
 class EpochCombiner
 {
@@ -87,15 +86,14 @@ class EpochCombiner
     };
 
     /** Work a `commit_async` transaction defers to epoch retirement:
-     *  in-place write-back, lock release, truncation enqueue.  Joining
-     *  marks the lockSlots stripes retiring with the epoch. */
+     *  in-place write-back (writeBack, txn.h), lock release, and the
+     *  truncation task Txn built, which the round gates on its epoch.
+     *  Joining marks the lockSlots stripes retiring with the epoch. */
     struct Pending {
         std::vector<WriteSet::Item> items;   ///< Addr-sorted new values.
-        std::vector<uintptr_t> dataWords;    ///< Sorted dirty word addrs.
         std::vector<uintptr_t> lockSlots;    ///< Stripe locks to release.
         uint64_t ts;
-        log::Rawl *log;
-        uint64_t toAbs;
+        TruncationThread::Task task;
     };
 
     /**

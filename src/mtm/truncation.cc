@@ -39,9 +39,8 @@ tctrs()
 
 } // namespace
 
-TruncationThread::TruncationThread(uint64_t poll_us, bool batch_dedup)
-    : parentCtx_(&scm::ctx()), pollUs_(poll_us ? poll_us : 100),
-      batchDedup_(batch_dedup), worker_([this] { run(); })
+TruncationThread::TruncationThread()
+    : parentCtx_(&scm::ctx()), worker_([this] { run(); })
 {
 }
 
@@ -122,7 +121,7 @@ TruncationThread::run()
         bool paused_now = false;
         {
             std::unique_lock<std::mutex> g(mu_);
-            cv_.wait_for(g, std::chrono::microseconds(pollUs_), [this] {
+            cv_.wait_for(g, std::chrono::microseconds(kPollUs), [this] {
                 return stop_ || (!paused_ && !queue_.empty());
             });
             if (stop_ && (queue_.empty() || paused_))
@@ -161,60 +160,35 @@ TruncationThread::run()
             try {
                 const uint64_t t0 = obs::enabled() ? obs::nowNs() : 0;
                 auto &c = scm::ctx();
+                // Cross-transaction dedup: merge every task's dirty word
+                // set and flush each distinct line ONCE per batch.
+                // Correct under every persist mode because the truncator
+                // never writes data — the committing threads already
+                // wrote the words back in commit-ts order (last writer
+                // won in memory), so one flush of the merged line
+                // persists exactly the latest value, and the single
+                // fence below still orders every flush before every
+                // consumeTo (write-ahead: no record is dropped before
+                // its data is durable).
+                word_scratch.clear();
+                for (const auto &t : batch)
+                    word_scratch.insert(word_scratch.end(), t.words.begin(),
+                                        t.words.end());
+                const size_t enqueued = word_scratch.size();
+                std::sort(word_scratch.begin(), word_scratch.end());
+                word_scratch.erase(
+                    std::unique(word_scratch.begin(), word_scratch.end()),
+                    word_scratch.end());
+                tctrs().words_deduped.add(enqueued - word_scratch.size());
                 size_t flushed = 0;
-                if (batchDedup_) {
-                    // Cross-transaction dedup: merge every task's dirty
-                    // word set and flush each distinct line ONCE per
-                    // batch.  Correct under every persist mode because
-                    // the truncator never writes data — the committing
-                    // threads already wrote the words back in commit-ts
-                    // order (last writer won in memory), so one flush of
-                    // the merged line persists exactly the latest value,
-                    // and the single fence below still orders every
-                    // flush before every consumeTo (write-ahead: no
-                    // record is dropped before its data is durable).
-                    word_scratch.clear();
-                    size_t enqueued = 0;
-                    for (const auto &t : batch) {
-                        word_scratch.insert(word_scratch.end(),
-                                            t.words.begin(),
-                                            t.words.end());
-                        enqueued += t.words.size();
-                    }
-                    std::sort(word_scratch.begin(), word_scratch.end());
-                    word_scratch.erase(std::unique(word_scratch.begin(),
-                                                   word_scratch.end()),
-                                       word_scratch.end());
-                    tctrs().words_deduped.add(enqueued -
-                                              word_scratch.size());
-                    uintptr_t prev_line = 0;
-                    bool have_line = false;
-                    for (uintptr_t w : word_scratch) {
-                        const uintptr_t line = w & ~uintptr_t(63);
-                        if (have_line && line == prev_line)
-                            continue;
-                        c.flush(reinterpret_cast<const void *>(line));
-                        ++flushed;
-                        prev_line = line;
-                        have_line = true;
-                    }
-                } else {
-                    // Per-task baseline: every transaction's lines are
-                    // flushed individually (coalesced only within the
-                    // task, since its words arrive sorted).
-                    for (const auto &t : batch) {
-                        uintptr_t prev_line = 0;
-                        bool have_line = false;
-                        for (uintptr_t w : t.words) {
-                            const uintptr_t line = w & ~uintptr_t(63);
-                            if (have_line && line == prev_line)
-                                continue;
-                            c.flush(reinterpret_cast<const void *>(line));
-                            ++flushed;
-                            prev_line = line;
-                            have_line = true;
-                        }
-                    }
+                uintptr_t prev_line = 0;
+                for (uintptr_t w : word_scratch) {
+                    const uintptr_t line = w & ~uintptr_t(63);
+                    if (flushed != 0 && line == prev_line)
+                        continue;
+                    c.flush(reinterpret_cast<const void *>(line));
+                    ++flushed;
+                    prev_line = line;
                 }
                 tctrs().lines_flushed.add(flushed);
                 c.fence();

@@ -6,6 +6,13 @@
  * the latency of committing is shorter.  A separate log manager thread
  * consumes the log and forces values out to memory before truncating
  * the log."
+ *
+ * The transaction manager starts this thread only when something can
+ * enqueue to it: asynchronous truncation, or group commit (which always
+ * truncates through it).  Synchronous truncation without group commit
+ * runs no thread.  Each drained batch flushes every distinct dirty line
+ * once (hot keys: O(dirty lines) flushes instead of O(txns)), fences
+ * once, and then advances each log's head.
  */
 
 #ifndef MNEMOSYNE_MTM_TRUNCATION_H_
@@ -52,12 +59,8 @@ class TruncationThread
         uint64_t epoch = 0;
     };
 
-    /** @p batch_dedup merges the drained batch's word sets and flushes
-     *  each distinct line once per batch (hot keys: O(dirty lines)
-     *  flushes instead of O(txns)); off, every task flushes its own
-     *  lines — the pre-dedup baseline, kept for A/B measurement. */
-    explicit TruncationThread(uint64_t poll_us = 100,
-                              bool batch_dedup = true);
+    /** Starts the worker thread. */
+    TruncationThread();
     ~TruncationThread();
 
     /** Install the combiner the worker polls for epoch retirement
@@ -95,6 +98,9 @@ class TruncationThread
   private:
     /** Backlog that forces an eager worker wakeup (log-space pressure). */
     static constexpr size_t kEagerWakeBacklog = 48;
+    /** Worker poll interval; it doubles as the epoch timeout that
+     *  retires async tickets nobody waits on. */
+    static constexpr uint64_t kPollUs = 100;
 
     void run();
 
@@ -106,8 +112,6 @@ class TruncationThread
      */
     scm::ScmContext *parentCtx_;
 
-    const uint64_t pollUs_;
-    const bool batchDedup_;
     std::atomic<EpochCombiner *> combiner_{nullptr};
 
     std::mutex mu_;

@@ -33,8 +33,8 @@ wordsSavedCtr()
     return c;
 }
 
-/** Touch at load so the key appears in every snapshot even when the
- *  compact encoding is off (live schema checks rely on presence). */
+/** Touch at load so the key appears in every snapshot, also before the
+ *  first commit (live schema checks rely on presence). */
 [[maybe_unused]] obs::Counter &gWordsSavedEager = wordsSavedCtr();
 
 /** Barrier waits on a retiring stripe: each one is a conflict with a
@@ -88,16 +88,18 @@ Txn::begin(uint64_t id, log::Rawl *log)
 }
 
 void
-Txn::reset()
+Txn::finish(uint32_t flight_flags, uint64_t ts, obs::ShardedCounter &n)
 {
+    obs::FlightRecorder::instance().endTxn(flight_, flight_flags, ts);
+    flight_ = nullptr;
+    flightDetail_ = nullptr;
     writeWords_.clear();
     readSet_.clear();
     lockPrev_.clear();
-    abortHooks_.clear();
-    commitHooks_.clear();
     depth_ = 0;
     active_ = false;
     asyncCommit_ = false;
+    n.add(1);
 }
 
 void
@@ -111,14 +113,7 @@ Txn::rollback()
         reinterpret_cast<LockTable::Word *>(it.key)->store(
             it.val, std::memory_order_release);
     }
-    for (auto it = abortHooks_.rbegin(); it != abortHooks_.rend(); ++it)
-        (*it)();
-    obs::FlightRecorder::instance().endTxn(flight_, obs::kFlightAborted,
-                                           /*commit_ts=*/0);
-    flight_ = nullptr;
-    flightDetail_ = nullptr;
-    reset();
-    mgr_.nAborts_.add(1);
+    finish(obs::kFlightAborted, /*commit_ts=*/0, mgr_.nAborts_);
 }
 
 void
@@ -326,12 +321,10 @@ Txn::stageAndAppendRedo(uint64_t ts, bool epoch_mode)
 {
     // Per-transaction log staging: the whole redo — commit timestamp
     // plus every persistent buffered word — travels to the RAWL as ONE
-    // record, so the header word and tornbit restaging are paid once
-    // per transaction instead of once per store.  commit() filled
-    // persistScratch_ with the addr-sorted persistent items; the record
-    // format is either v1 ([tag, ts, (addr, val)...]) or the compact v2
-    // shape (redo_codec.h), which drops the address column for a varint
-    // run-length stream.
+    // compact (v2) record (redo_codec.h), so the header word and tornbit
+    // restaging are paid once per transaction instead of once per store.
+    // commit() filled persistScratch_ with the addr-sorted persistent
+    // items.
     //
     // Under group commit the record is epoch-tagged and left UNFENCED:
     // the epoch combiner flushes its lines and fences the whole batch
@@ -351,77 +344,41 @@ Txn::stageAndAppendRedo(uint64_t ts, bool epoch_mode)
     size_t appended = 0;
     {
         obs::SpanScope append_span(flightDetail_, obs::Span::kLogAppend);
-        if (mgr_.cfg_.compact_redo) {
-            const uintptr_t va_base = mgr_.rl_.manager().vaBase();
-            const WriteSet::Item *items = persistScratch_.data();
-            // Hot path: encode straight away (single pass) and check
-            // the size after — almost no transaction is oversized.
-            redo::encodeV2(va_base, ts, epoch_mode, items, n,
-                           redoScratch_);
-            size_t start = 0;
-            if (redoScratch_.size() > max_rec) [[unlikely]] {
-                // Oversized transaction: spill leading chunks as plain
-                // (addr, val) pair records until the compact tail fits
-                // one record.  Recovery buffers pair records until the
-                // commit record arrives (and discards them if it never
-                // does).
-                size_t rec_words =
-                    redo::encodedWordsV2(va_base, ts, items, n);
-                while (rec_words > max_rec) {
-                    const size_t chunk =
-                        std::min((max_rec - 2) / 2, n - start - 1);
-                    redoScratch_.clear();
-                    for (size_t i = start; i < start + chunk; ++i) {
-                        redoScratch_.push_back(items[i].key);
-                        redoScratch_.push_back(items[i].val);
-                    }
-                    log_->append(redoScratch_.data(), redoScratch_.size());
-                    appended += redoScratch_.size();
-                    start += chunk;
-                    rec_words = redo::encodedWordsV2(
-                        va_base, ts, items + start, n - start);
+        const uintptr_t va_base = mgr_.rl_.manager().vaBase();
+        const WriteSet::Item *items = persistScratch_.data();
+        // Hot path: encode straight away (single pass) and check the
+        // size after — almost no transaction is oversized.
+        redo::encodeV2(va_base, ts, epoch_mode, items, n, redoScratch_);
+        size_t start = 0;
+        if (redoScratch_.size() > max_rec) [[unlikely]] {
+            // Oversized transaction: spill leading chunks as plain
+            // (addr, val) pair records until the compact tail fits one
+            // record.  Recovery buffers pair records until the commit
+            // record arrives (and discards them if it never does).
+            size_t rec_words = redo::encodedWordsV2(va_base, ts, items, n);
+            while (rec_words > max_rec) {
+                const size_t chunk =
+                    std::min((max_rec - 2) / 2, n - start - 1);
+                redoScratch_.clear();
+                for (size_t i = start; i < start + chunk; ++i) {
+                    redoScratch_.push_back(items[i].key);
+                    redoScratch_.push_back(items[i].val);
                 }
-                redo::encodeV2(va_base, ts, epoch_mode, items + start,
-                               n - start, redoScratch_);
-            }
-            log_->append(redoScratch_.data(), redoScratch_.size());
-            appended += redoScratch_.size();
-            // The v1 shape appends exactly 2 + 2n words for any spill
-            // split; the difference is the bandwidth this txn saved.
-            if (appended < 2 + 2 * n)
-                wordsSavedCtr().add(2 + 2 * n - appended);
-        } else {
-            const uint64_t tag = epoch_mode ? kTagCommitEpoch : kTagCommit;
-            redoScratch_.clear();
-            redoScratch_.reserve(2 + 2 * n);
-            redoScratch_.push_back(tag);
-            redoScratch_.push_back(ts);
-            for (const auto &it : persistScratch_) {
-                redoScratch_.push_back(it.key);
-                redoScratch_.push_back(it.val);
-            }
-            appended = redoScratch_.size();
-            if (redoScratch_.size() <= max_rec) {
                 log_->append(redoScratch_.data(), redoScratch_.size());
-            } else {
-                // Oversized transaction: spill leading pair chunks as
-                // plain records, then fold the tail into the commit
-                // record.
-                const size_t chunk = (max_rec - 2) & ~size_t(1);
-                size_t pos = 2;
-                size_t remaining = redoScratch_.size() - 2;
-                while (remaining + 2 > max_rec) {
-                    log_->append(&redoScratch_[pos], chunk);
-                    pos += chunk;
-                    remaining -= chunk;
-                }
-                // The commit header slides down next to the tail pairs
-                // so the final append stays one contiguous range.
-                redoScratch_[pos - 2] = tag;
-                redoScratch_[pos - 1] = ts;
-                log_->append(&redoScratch_[pos - 2], remaining + 2);
+                appended += redoScratch_.size();
+                start += chunk;
+                rec_words = redo::encodedWordsV2(va_base, ts, items + start,
+                                                 n - start);
             }
+            redo::encodeV2(va_base, ts, epoch_mode, items + start,
+                           n - start, redoScratch_);
         }
+        log_->append(redoScratch_.data(), redoScratch_.size());
+        appended += redoScratch_.size();
+        // The v1 shape appends exactly 2 + 2n words for any spill split;
+        // the difference is the bandwidth this txn saved.
+        if (appended < 2 + 2 * n)
+            wordsSavedCtr().add(2 + 2 * n - appended);
     }
     if (flightDetail_) {
         flightDetail_->redo_words += uint32_t(2 * n);
@@ -438,24 +395,27 @@ Txn::stageAndAppendRedo(uint64_t ts, bool epoch_mode)
         flightDetail_->fences += 1;
 }
 
+TruncationThread::Task
+Txn::truncationTask(uint64_t epoch) const
+{
+    std::vector<uintptr_t> words;
+    words.reserve(persistScratch_.size());
+    for (const auto &it : persistScratch_)
+        words.push_back(it.key);
+    return TruncationThread::Task{log_, log_->tailAbs(), std::move(words),
+                                  epoch};
+}
+
 uint64_t
 Txn::commit()
 {
     assert(active_ && depth_ == 1);
-    auto &c = scm::ctx();
 
     if (writeWords_.empty()) {
         // Read-only transactions are consistent by construction of the
         // incremental validation; nothing to persist.
-        for (auto &h : commitHooks_)
-            h();
-        obs::FlightRecorder::instance().endTxn(
-            flight_, obs::kFlightCommitted | obs::kFlightReadOnly,
-            /*commit_ts=*/0);
-        flight_ = nullptr;
-        flightDetail_ = nullptr;
-        reset();
-        mgr_.nReadonly_.add(1);
+        finish(obs::kFlightCommitted | obs::kFlightReadOnly,
+               /*commit_ts=*/0, mgr_.nReadonly_);
         return 0;
     }
 
@@ -500,6 +460,9 @@ Txn::commit()
     }
     const bool logged = !persistScratch_.empty();
     EpochCombiner *comb = logged ? mgr_.combiner_.get() : nullptr;
+    // commit_async under the combiner: logical commit now, an epoch
+    // ticket for the caller.
+    const bool deferred = comb != nullptr && asyncCommit_;
     uint64_t epoch = 0;
 
     if (logged) {
@@ -508,137 +471,93 @@ Txn::commit()
         if (comb) {
             const EpochCombiner::Member member{log_, from_abs,
                                                log_->tailAbs(), ts};
-            if (asyncCommit_) {
-                // commit_async: logical commit now, an epoch ticket for
-                // the caller.  The in-place write-back AND lock release
-                // are deferred to the combiner at epoch retirement —
-                // writing back earlier would let cache eviction persist
-                // in-place data ahead of its (unfenced) log record,
-                // breaking the whole-epoch atomicity guarantee.  Joining
-                // the epoch marks the stripes retiring, so until it
-                // retires a conflicting barrier waits for it instead of
-                // aborting.
+            if (deferred) {
+                // The in-place write-back AND lock release are deferred
+                // to the combiner at epoch retirement — writing back
+                // earlier would let cache eviction persist in-place data
+                // ahead of its (unfenced) log record, breaking the
+                // whole-epoch atomicity guarantee.  Joining the epoch
+                // marks the stripes retiring, so until it retires a
+                // conflicting barrier waits for it instead of aborting.
                 EpochCombiner::Pending p;
                 p.items = std::move(sortScratch_);
-                p.dataWords.reserve(persistScratch_.size());
-                for (const auto &it : persistScratch_)
-                    p.dataWords.push_back(it.key);
                 p.lockSlots.reserve(lockPrev_.size());
                 for (const auto &it : lockPrev_)
                     p.lockSlots.push_back(uintptr_t(it.key));
                 p.ts = ts;
-                p.log = log_;
-                p.toAbs = member.toAbs;
+                p.task = truncationTask(/*epoch=*/0); // combiner gates it
                 epoch = comb->joinAsync(member, std::move(p));
                 sortScratch_.clear();
-                for (auto &h : commitHooks_)
-                    h();
-                if (commit_t0)
-                    commitLatencyHist().recordAlways(
-                        obs::ticksToNs(obs::tickNow() - commit_t0));
-                obs::FlightRecorder::instance().endTxn(
-                    flight_, obs::kFlightCommitted, ts);
-                flight_ = nullptr;
-                flightDetail_ = nullptr;
-                reset();
-                mgr_.nCommits_.add(1);
-                return epoch;
+            } else {
+                // Synchronous commit under group commit: wait for the
+                // epoch fence (issued once, by whichever thread
+                // combines) BEFORE the write-back — write-ahead again.
+                // The wait is what the caller pays instead of a private
+                // flush+fence; it lingers in grace so concurrent sync
+                // committers share the epoch.
+                obs::SpanScope fence_span(flightDetail_,
+                                          obs::Span::kLogFence);
+                epoch = comb->joinSync(member);
+                comb->waitRetired(epoch, /*linger=*/true);
             }
-            // Synchronous commit under group commit: wait for the epoch
-            // fence (issued once, by whichever thread combines) BEFORE
-            // the write-back — write-ahead again.  The wait is what the
-            // caller pays instead of a private flush+fence; it lingers
-            // in grace so concurrent sync committers share the epoch.
-            obs::SpanScope fence_span(flightDetail_, obs::Span::kLogFence);
-            epoch = comb->joinSync(member);
-            comb->waitRetired(epoch, /*linger=*/true);
         }
     }
 
-    {
-        obs::SpanScope wb_span(flightDetail_, obs::Span::kWriteBack);
-        // Write back the new values in place (lazy version management),
-        // coalescing contiguous words into single cached stores.
-        for (size_t i = 0; i < sortScratch_.size();) {
-            const uintptr_t start = sortScratch_[i].key;
-            runScratch_.clear();
-            runScratch_.push_back(sortScratch_[i].val);
-            size_t j = i + 1;
-            while (j < sortScratch_.size() &&
-                   sortScratch_[j].key == sortScratch_[j - 1].key + 8) {
-                runScratch_.push_back(sortScratch_[j].val);
-                ++j;
+    if (!deferred) {
+        auto &c = scm::ctx();
+        {
+            // Write back the new values in place (lazy version
+            // management), then release the locks at the commit
+            // timestamp.
+            obs::SpanScope wb_span(flightDetail_, obs::Span::kWriteBack);
+            writeBack(c, sortScratch_.data(), sortScratch_.size(),
+                      runScratch_);
+            for (const auto &it : lockPrev_) {
+                reinterpret_cast<LockTable::Word *>(it.key)->store(
+                    LockTable::makeVersion(ts), std::memory_order_release);
             }
-            c.store(reinterpret_cast<void *>(start), runScratch_.data(),
-                    runScratch_.size() * sizeof(uint64_t));
-            i = j;
         }
-
-        // Release the locks at the commit timestamp.
-        for (const auto &it : lockPrev_) {
-            reinterpret_cast<LockTable::Word *>(it.key)->store(
-                LockTable::makeVersion(ts), std::memory_order_release);
+        if (logged) {
+            obs::SpanScope trunc_span(flightDetail_, obs::Span::kTruncate);
+            if (comb || mgr_.cfg_.truncation == Truncation::kAsync) {
+                // Off the critical path.  Group commit always truncates
+                // through the worker thread: a synchronous flush+fence
+                // here would hand back the very fence the epoch just
+                // amortized away.  Its task is gated on the epoch
+                // (already retired here, so immediately eligible).
+                mgr_.truncator_->enqueue(truncationTask(epoch));
+            } else {
+                // Synchronous truncation: force new values to memory
+                // during commit, then drop the whole per-thread log.
+                // The head advance is ordered after this fence and
+                // rides the next one (losing it only means an idempotent
+                // replay).  The latency histogram samples 1 in 16
+                // commits: two clock reads per commit cost more than the
+                // truncation itself on the emulator fast lane.
+                const uint64_t t0 =
+                    obs::enabled() && (++truncSample_ & 15) == 0
+                        ? obs::nowNs()
+                        : 0;
+                for (uintptr_t line : lineScratch_)
+                    c.flush(reinterpret_cast<const void *>(line));
+                c.fence();
+                log_->consumeTo(log::Rawl::Cursor{log_->tailAbs()},
+                                /*do_fence=*/false);
+                if (t0)
+                    syncTruncHist().record(obs::nowNs() - t0);
+                if (flightDetail_) {
+                    flightDetail_->flushes += uint32_t(lineScratch_.size());
+                    flightDetail_->fences += 1;
+                }
+            }
         }
     }
 
-    if (logged) {
-        obs::SpanScope trunc_span(flightDetail_, obs::Span::kTruncate);
-        if (comb) {
-            // Group commit always truncates through the worker thread:
-            // a synchronous flush+fence here would hand back the very
-            // fence the epoch just amortized away.  The task is gated
-            // on its epoch (already retired on this path, so it is
-            // immediately eligible).
-            std::vector<uintptr_t> words;
-            words.reserve(persistScratch_.size());
-            for (const auto &it : persistScratch_)
-                words.push_back(it.key);
-            mgr_.truncator_->enqueue(TruncationThread::Task{
-                log_, log_->tailAbs(), std::move(words), epoch});
-        } else if (mgr_.cfg_.truncation == Truncation::kSync) {
-            // Synchronous truncation: force new values to memory during
-            // commit, then drop the whole per-thread log.  The head
-            // advance is ordered after this fence and rides the next
-            // one (losing it only means an idempotent replay).
-            // The latency histogram samples 1 in 16 commits: two clock
-            // reads per commit cost more than the truncation itself on
-            // the emulator fast lane.
-            const uint64_t t0 = obs::enabled() && (++truncSample_ & 15) == 0
-                                    ? obs::nowNs()
-                                    : 0;
-            for (uintptr_t line : lineScratch_)
-                c.flush(reinterpret_cast<const void *>(line));
-            c.fence();
-            log_->consumeTo(log::Rawl::Cursor{log_->tailAbs()},
-                            /*do_fence=*/false);
-            if (t0)
-                syncTruncHist().record(obs::nowNs() - t0);
-            if (flightDetail_) {
-                flightDetail_->flushes += uint32_t(lineScratch_.size());
-                flightDetail_->fences += 1;
-            }
-        } else {
-            std::vector<uintptr_t> words;
-            words.reserve(persistScratch_.size());
-            for (const auto &it : persistScratch_)
-                words.push_back(it.key);
-            mgr_.truncator_->enqueue(TruncationThread::Task{
-                log_, log_->tailAbs(), std::move(words)});
-        }
-    }
-
-    for (auto &h : commitHooks_)
-        h();
     if (commit_t0)
         commitLatencyHist().recordAlways(
             obs::ticksToNs(obs::tickNow() - commit_t0));
-    obs::FlightRecorder::instance().endTxn(flight_, obs::kFlightCommitted,
-                                           ts);
-    flight_ = nullptr;
-    flightDetail_ = nullptr;
-    reset();
-    mgr_.nCommits_.add(1);
-    return 0; // durable on return
+    finish(obs::kFlightCommitted, ts, mgr_.nCommits_);
+    return deferred ? epoch : 0; // 0: durable on return
 }
 
 } // namespace mnemosyne::mtm

@@ -19,8 +19,9 @@
  *    entry per stripe, so validation scans unique lines, not raw reads.
  *  - Commit stages the transaction's redo — every buffered word in the
  *    reserved persistent address range plus the commit timestamp — as
- *    ONE log record [kTagCommit, ts, (addr, val)...] appended to the
- *    per-thread persistent RAWL, and issues ONE fence (the tornbit log
+ *    ONE compact (v2) commit record (redo_codec.h: the values plus a
+ *    varint run-length address stream) appended to the per-thread
+ *    persistent RAWL, and issues ONE fence (the tornbit log
  *    needs no commit-record fence pair).  Torn-append atomicity of the
  *    RAWL makes the single record the atomicity point: recovery either
  *    sees the whole transaction or none of it.  The new values are then
@@ -43,17 +44,40 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "log/rawl.h"
 #include "mtm/lock_table.h"
+#include "mtm/truncation.h"
 #include "mtm/write_set.h"
 #include "obs/flight_recorder.h"
+#include "obs/obs.h"
 
 namespace mnemosyne::mtm {
 
 class TxnManager;
+
+/**
+ * Write @p n addr-sorted items back in place, coalescing contiguous
+ * words into one cached store per run (@p run is scratch).  Both the
+ * committing thread and the epoch combiner (deferred `commit_async`
+ * work) write back through this.
+ */
+inline void
+writeBack(scm::ScmContext &c, const WriteSet::Item *items, size_t n,
+          std::vector<uint64_t> &run)
+{
+    for (size_t i = 0; i < n;) {
+        run.clear();
+        run.push_back(items[i].val);
+        size_t j = i + 1;
+        while (j < n && items[j].key == items[j - 1].key + 8)
+            run.push_back(items[j++].val);
+        c.store(reinterpret_cast<void *>(items[i].key), run.data(),
+                run.size() * sizeof(uint64_t));
+        i = j;
+    }
+}
 
 /** Thrown internally on conflict; TxnManager::atomic() retries. */
 struct TxnConflict {
@@ -75,7 +99,8 @@ struct TxnConflict {
  *  Compact (v2) commit records carry their tag in byte 0 of the first
  *  word (kTagCommitV2 / kTagCommitEpochV2, redo_codec.h) and compress
  *  the address column into a varint run-length stream; replay
- *  semantics match their v1 twins.
+ *  semantics match their v1 twins.  Commit writes only v2 records and
+ *  spilled pair chunks; the v1 commit shapes are decode-only.
  */
 enum LogTag : uint64_t {
     kTagCommit = 1,
@@ -109,12 +134,6 @@ class Txn
         return v;
     }
 
-    /** Register a handler run if this transaction (attempt) aborts. */
-    void onAbort(std::function<void()> fn) { abortHooks_.push_back(std::move(fn)); }
-
-    /** Register a handler run after this transaction commits durably. */
-    void onCommit(std::function<void()> fn) { commitHooks_.push_back(std::move(fn)); }
-
     uint64_t id() const { return id_; }
     size_t writeSetWords() const { return writeWords_.size(); }
 
@@ -128,8 +147,10 @@ class Txn
      *  only, volatile-only, or the combiner is off). */
     uint64_t commit();
     void abort(const char *why);      ///< rollback() + throw TxnConflict.
-    void rollback();                  ///< Clean up and run abort hooks.
-    void reset();
+    void rollback();                  ///< Release locks, drop buffers.
+    /** Epilogue of every end — abort, read-only, async and sync
+     *  commit: close the flight record, reset, count the outcome. */
+    void finish(uint32_t flight_flags, uint64_t ts, obs::ShardedCounter &n);
 
     void readRun(uint8_t *dst, uintptr_t addr, size_t len);
     void recordRead(LockTable::Word &lock, uint64_t seen);
@@ -139,6 +160,9 @@ class Txn
     void validateOrAbort(const char *why);
     void extend();
     void stageAndAppendRedo(uint64_t ts, bool epoch_mode);
+    /** The truncation task for the record just appended: its log end
+     *  and its persistent words, gated on @p epoch (0 = ungated). */
+    TruncationThread::Task truncationTask(uint64_t epoch) const;
 
     TxnManager &mgr_;
     log::Rawl *log_ = nullptr;
@@ -173,14 +197,12 @@ class Txn
     /** Locks held: lock slot -> version to restore on abort. */
     DenseMap<uint64_t> lockPrev_;
 
-    std::vector<std::function<void()>> abortHooks_;
-    std::vector<std::function<void()>> commitHooks_;
-
     // Reusable commit-path scratch.  With synchronous truncation and no
     // group commit, commit allocates nothing once these reach their
     // high-water capacity; otherwise it allocates the truncation task's
     // word vector, and a commit_async commit hands sortScratch_'s buffer
-    // (plus two new vectors) to the combiner (EpochCombiner::Pending).
+    // (plus the lock-slot vector and the task) to the combiner
+    // (EpochCombiner::Pending).
     std::vector<WriteSet::Item> sortScratch_;   ///< Write set, addr-sorted.
     std::vector<WriteSet::Item> persistScratch_; ///< Persistent subset.
     std::vector<uintptr_t> lineScratch_;        ///< Distinct dirty lines.

@@ -130,8 +130,8 @@ TxnManager::TxnManager(region::RegionLayer &rl, TxnConfig cfg)
         for (auto *log : stale)
             logs_->release(log);
     }
-    truncator_ = std::make_unique<TruncationThread>(cfg_.epoch_timeout_us,
-                                                    cfg_.trunc_batch_dedup);
+    if (cfg_.truncation == Truncation::kAsync || cfg_.group_commit)
+        truncator_ = std::make_unique<TruncationThread>();
     if (cfg_.group_commit) {
         // The marker log is an ordinary slot; it stays on streaming
         // appends (the combiner fences its own marker stream).  It is
@@ -245,7 +245,8 @@ TxnManager::acquireLog()
     log::Rawl *log = logs_->acquire(ordinal.fetch_add(1) + 1);
     // A producer stalled on this (full) log kicks the async truncator
     // instead of waiting out its poll interval.
-    log->setSpaceWaiter([this] { truncator_->nudge(); });
+    if (truncator_)
+        log->setSpaceWaiter([this] { truncator_->nudge(); });
     // Member logs stage records with cached stores under group commit
     // so the combiner's single fence can retire them (shared flush
     // claims); streaming stores would only retire under the producer's
@@ -358,13 +359,6 @@ TxnManager::backoff(int attempt)
     do {
         std::this_thread::yield();
     } while (std::chrono::steady_clock::now() < deadline);
-}
-
-void
-TxnManager::setTruncation(Truncation t)
-{
-    drainTruncation();
-    cfg_.truncation = t;
 }
 
 void

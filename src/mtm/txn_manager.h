@@ -39,26 +39,14 @@ struct TxnConfig {
      *  cache lines that hash to it (lock_table.h). */
     size_t lock_bits = 20;
 
-    /** Compact (v2) redo records: varint run-length address stream
-     *  instead of a full 8-byte address per value (redo_codec.h).
-     *  Recovery always understands both formats; the knob exists for
-     *  A/B bandwidth measurement and as a fallback. */
-    bool compact_redo = true;
-    /** Cross-transaction write-back dedup in the truncator: merge the
-     *  drained batch's dirty-word sets and flush each distinct line
-     *  once per batch instead of once per task (truncation.cc). */
-    bool trunc_batch_dedup = true;
-
     /** Group commit: batch committing threads' records into fence
      *  epochs — ONE fence per epoch instead of one per transaction
      *  (group_commit.h).  Truncation always runs through the worker
-     *  thread when the combiner is on; the `truncation` knob then only
-     *  affects nothing-logged paths. */
+     *  thread when the combiner is on; the `truncation` setting is
+     *  then ignored.  Unwaited async tickets retire within the
+     *  worker's poll interval (TruncationThread::kPollUs). */
     bool group_commit = false;
     size_t epoch_max_batch = 64;    ///< Seal when this many members join.
-    /** Epoch retirement latency bound for unwaited (async) tickets:
-     *  the truncator polls the combiner at this interval. */
-    uint64_t epoch_timeout_us = 100;
 };
 
 /**
@@ -197,9 +185,6 @@ class TxnManager
 
     TxnStats stats() const;
 
-    Truncation truncation() const { return cfg_.truncation; }
-    void setTruncation(Truncation t);
-
     region::RegionLayer &regions() { return rl_; }
     LockTable &locks() { return locks_; }
 
@@ -253,6 +238,8 @@ class TxnManager
      *  combiner (tryAdvance), so it must be destroyed FIRST (members
      *  destroy in reverse declaration order). */
     std::unique_ptr<EpochCombiner> combiner_;
+    /** Null unless something can enqueue to it: async truncation or
+     *  group commit. */
     std::unique_ptr<TruncationThread> truncator_;
     const uint64_t mgrId_;
 

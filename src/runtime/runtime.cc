@@ -11,8 +11,6 @@ namespace mnemosyne {
 
 namespace {
 
-std::atomic<Runtime *> gRuntime{nullptr};
-
 uint64_t
 nextRuntimeId()
 {
@@ -23,12 +21,6 @@ nextRuntimeId()
 using clk = std::chrono::steady_clock;
 
 } // namespace
-
-Runtime *
-runtime()
-{
-    return gRuntime.load(std::memory_order_acquire);
-}
 
 Runtime::Runtime(RuntimeConfig cfg) : id_(nextRuntimeId()), cfg_(cfg)
 {
@@ -95,8 +87,6 @@ Runtime::Runtime(RuntimeConfig cfg) : id_(nextRuntimeId()), cfg_(cfg)
     // set (or in SIGUSR2 dump-only mode when stats are on).  Idempotent
     // across Runtime incarnations; the emitter thread is process-global.
     obs::StatsEmitter::maybeStartFromEnv();
-
-    gRuntime.store(this, std::memory_order_release);
 }
 
 Runtime::~Runtime()
@@ -105,8 +95,6 @@ Runtime::~Runtime()
     // dump itself only writes anything when MNEMOSYNE_STATS is on.
     obs::shutdownDump();
     obs::StatsRegistry::instance().removeSource(statsSourceToken_);
-    if (gRuntime.load(std::memory_order_acquire) == this)
-        gRuntime.store(nullptr, std::memory_order_release);
     txns_.reset();     // drains async truncation
     heap_.reset();
     if (regions_ && region::currentRegionLayer() == regions_.get())

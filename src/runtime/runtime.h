@@ -219,10 +219,6 @@ class Runtime
     uint64_t statsSourceToken_ = 0;
 };
 
-/** The process-wide runtime set by the most recent Runtime; null when
- *  none is alive. */
-Runtime *runtime();
-
 } // namespace mnemosyne
 
 #endif // MNEMOSYNE_RUNTIME_RUNTIME_H_

@@ -35,6 +35,7 @@ using mnemosyne::Runtime;
 using mnemosyne::RuntimeConfig;
 using mnemosyne::test::TempDir;
 using mnemosyne::test::smallRegionConfig;
+using mnemosyne::test::statCounter;
 
 namespace {
 
@@ -70,17 +71,6 @@ pvar(Runtime &rt, const std::string &name)
 {
     return static_cast<uint64_t *>(
         rt.regions().pstaticVar(name, sizeof(uint64_t), nullptr));
-}
-
-/** Exact value of the stats counter @p key, from a registry snapshot. */
-uint64_t
-statCounter(const std::string &key)
-{
-    const std::string snap = obs::StatsRegistry::instance().jsonSnapshot();
-    const std::string pat = "\"" + key + "\":";
-    const size_t at = snap.find(pat);
-    return at == std::string::npos ? 0
-                                   : std::stoull(snap.substr(at + pat.size()));
 }
 
 } // namespace

@@ -178,19 +178,6 @@ TEST(Mtm, ConflictsAreCountedAndResolved)
     EXPECT_GE(rt.txns().stats().commits, 1200u);
 }
 
-TEST(Runtime, GlobalAccessorTracksCurrentRuntime)
-{
-    TempDir dir;
-    scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    EXPECT_EQ(mnemosyne::runtime(), nullptr);
-    {
-        Runtime rt(rtCfg(dir.path()));
-        EXPECT_EQ(mnemosyne::runtime(), &rt);
-    }
-    EXPECT_EQ(mnemosyne::runtime(), nullptr);
-}
-
 TEST(Runtime, UsableSizeAndOwns)
 {
     TempDir dir;

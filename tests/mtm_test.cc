@@ -12,22 +12,30 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "log/log_manager.h"
+#include "mtm/recovery.h"
 #include "mtm/txn_manager.h"
+#include "obs/obs.h"
 #include "runtime/runtime.h"
 #include "scm/scm.h"
 #include "tests/test_util.h"
 
 namespace scm = mnemosyne::scm;
 namespace mtm = mnemosyne::mtm;
+namespace mlog = mnemosyne::log;
+namespace obs = mnemosyne::obs;
 using mnemosyne::Runtime;
 using mnemosyne::RuntimeConfig;
 using mnemosyne::test::TempDir;
 using mnemosyne::test::smallRegionConfig;
+using mnemosyne::test::statCounter;
 
 namespace {
 
@@ -92,6 +100,110 @@ class CrashAt
     scm::ScmContext &c_;
     std::shared_ptr<std::atomic<bool>> fired_ =
         std::make_shared<std::atomic<bool>>(false);
+};
+
+/** Turns the stats counters on for one scope. */
+class StatsOn
+{
+  public:
+    StatsOn() { obs::setEnabled(true); }
+    ~StatsOn() { obs::setEnabled(was_); }
+
+  private:
+    const bool was_ = obs::enabled();
+};
+
+/** Live threads of this process (entries of /proc/self/task). */
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)e;
+        ++n;
+    }
+    return n;
+}
+
+/**
+ * A hand-built v1 redo log at the recovery layer.  Commit writes only
+ * compact (v2) records, but recoverTransactions still decodes every v1
+ * shape: [kTagCommit, ts, (addr, val)...], spilled (addr, val) pair
+ * chunks, [kTagAbort], and [kTagCommitEpoch, ts, (addr, val)...] gated
+ * by a [kTagEpoch, e, n, (slot, to, ts)...] marker.  The fixture
+ * appends such records, durably, to a LogManager over a plain arena;
+ * recover() crashes the emulator, reopens the logs and replays them
+ * into the fixture's word array.
+ */
+class V1Log
+{
+  public:
+    static constexpr size_t kSlots = 4;
+    static constexpr size_t kSlotBytes = 256 * 1024;
+
+    V1Log(scm::ScmContext &c, size_t words)
+        : c_(c),
+          arena_(mlog::LogManager::footprint(kSlots, kSlotBytes) / 8 + 1),
+          words_(words, 0),
+          logs_(mlog::LogManager::create(arena_.data(), arena_.size() * 8,
+                                         kSlots, kSlotBytes))
+    {
+    }
+
+    mlog::Rawl &acquire() { return *logs_->acquire(); }
+
+    uint64_t addr(size_t w) { return uint64_t(uintptr_t(&words_[w])); }
+
+    /** Append @p rec as one record and fence it. */
+    void
+    append(mlog::Rawl &log, const std::vector<uint64_t> &rec)
+    {
+        log.append(rec.data(), rec.size());
+        log.flush();
+    }
+
+    /**
+     * The retired v1 writer: one [tag, ts, (addr, val)...] record over
+     * the word-sorted write set, or, past @p max_rec words, leading
+     * pair chunks and the tail folded into the commit record.
+     */
+    void
+    commit(mlog::Rawl &log, uint64_t ts, const std::map<size_t, uint64_t> &ws,
+           uint64_t tag = mtm::kTagCommit, size_t max_rec = 4096)
+    {
+        std::vector<uint64_t> rec{tag, ts};
+        for (const auto &[w, v] : ws) {
+            rec.push_back(addr(w));
+            rec.push_back(v);
+        }
+        const size_t chunk = (max_rec - 2) & ~size_t(1);
+        size_t pos = 2;
+        while (rec.size() - pos + 2 > max_rec) {
+            log.append(&rec[pos], chunk);
+            pos += chunk;
+        }
+        rec[pos - 2] = tag;
+        rec[pos - 1] = ts;
+        log.append(&rec[pos - 2], rec.size() - pos + 2);
+        log.flush();
+    }
+
+    mtm::RecoveryResult
+    recover()
+    {
+        c_.crash();
+        logs_ = mlog::LogManager::open(arena_.data());
+        return mtm::recoverTransactions(*logs_, /*va_base=*/0);
+    }
+
+    const std::vector<uint64_t> &words() const { return words_; }
+
+  private:
+    scm::ScmContext &c_;
+    std::vector<uint64_t> arena_;
+    std::vector<uint64_t> words_;
+    std::unique_ptr<mlog::LogManager> logs_;
 };
 
 } // namespace
@@ -181,34 +293,6 @@ TEST(Mtm, UserExceptionRollsBack)
     // The system must be usable afterwards.
     rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 1); });
     EXPECT_EQ(*x, 1u);
-}
-
-TEST(Mtm, AbortHooksRunOnRollbackOnly)
-{
-    TempDir dir;
-    scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
-    uint64_t *x = pvar(rt, "x");
-
-    int aborts = 0, commits = 0;
-    EXPECT_THROW(rt.atomic([&](mtm::Txn &tx) {
-        tx.onAbort([&] { ++aborts; });
-        tx.onCommit([&] { ++commits; });
-        tx.writeT<uint64_t>(x, 5);
-        throw std::runtime_error("bail");
-    }),
-                 std::runtime_error);
-    EXPECT_EQ(aborts, 1);
-    EXPECT_EQ(commits, 0);
-
-    rt.atomic([&](mtm::Txn &tx) {
-        tx.onAbort([&] { ++aborts; });
-        tx.onCommit([&] { ++commits; });
-        tx.writeT<uint64_t>(x, 6);
-    });
-    EXPECT_EQ(aborts, 1);
-    EXPECT_EQ(commits, 1);
 }
 
 TEST(Mtm, NestedAtomicFlattens)
@@ -499,9 +583,9 @@ TEST(Mtm, RandomizedSubWordDifferential)
 TEST(Mtm, StagedRecordRecoveryRoundTrip)
 {
     // The per-txn staged record format round-trips through a crash:
-    // several multi-word transactions commit (each one record), the
-    // crash reverts all in-place data, and recovery replays the values
-    // parsed out of the [kTagCommit, ts, pairs...] records.
+    // several multi-word transactions commit (each one compact v2
+    // record), the crash reverts all in-place data, and recovery
+    // replays the values decoded from those records.
     TempDir dir;
     constexpr size_t kWords = 64;
     std::vector<uint64_t> expected(kWords);
@@ -532,24 +616,33 @@ TEST(Mtm, StagedRecordRecoveryRoundTrip)
         EXPECT_EQ(arr[i], expected[i]) << "word " << i;
 }
 
-TEST(Mtm, OversizedTxnSpillsAndRecovers)
+namespace {
+
+/**
+ * Commit one transaction of @p words contiguous words (word i = i * mul
+ * + add) through a runtime with truncation paused, crash, and check
+ * that recovery replays it whole.  Returns the log records the commit
+ * appended.
+ */
+uint64_t
+spillRoundTrip(size_t words, uint64_t mul, uint64_t add)
 {
-    // A transaction whose redo exceeds the staged-record cap spills
-    // leading chunks as plain pair records; recovery must stitch the
-    // chunks back together with the commit record's own pairs.
     TempDir dir;
-    constexpr size_t kWords = 2600; // redo = 2 + 2*2600 words > 4096 cap
+    uint64_t records = 0;
     {
         scm::ScmContext c(scmCfg());
         scm::ScopedCtx guard(c);
         Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
-            "spill_arr", kWords * sizeof(uint64_t), nullptr));
+            "spill_arr", words * sizeof(uint64_t), nullptr));
         rt.txns().pauseTruncation();
+        const StatsOn stats;
+        const uint64_t appends0 = statCounter("rawl.appends");
         rt.atomic([&](mtm::Txn &tx) {
-            for (size_t i = 0; i < kWords; ++i)
-                tx.writeT<uint64_t>(&arr[i], i * 3 + 1);
+            for (size_t i = 0; i < words; ++i)
+                tx.writeT<uint64_t>(&arr[i], i * mul + add);
         });
+        records = statCounter("rawl.appends") - appends0;
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
@@ -557,101 +650,139 @@ TEST(Mtm, OversizedTxnSpillsAndRecovers)
     Runtime rt(rtCfg(dir.path()));
     EXPECT_EQ(rt.txns().stats().replayed_txns, 1u);
     auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
-        "spill_arr", kWords * sizeof(uint64_t), nullptr));
-    for (size_t i = 0; i < kWords; ++i)
-        ASSERT_EQ(arr[i], i * 3 + 1) << "word " << i;
+        "spill_arr", words * sizeof(uint64_t), nullptr));
+    size_t good = 0;
+    while (good < words && arr[good] == good * mul + add)
+        ++good;
+    EXPECT_EQ(good, words) << "first word not replayed";
+    return records;
+}
+
+/** Transaction @p t of the torn-tail tests: words t..t+8 of 64. */
+std::map<size_t, uint64_t>
+tornTailTxn(int t)
+{
+    std::map<size_t, uint64_t> ws;
+    for (size_t i = t; i < size_t(t) + 9 && i < 64; ++i)
+        ws[i] = uint64_t(t) * 4096 + i + 1;
+    return ws;
+}
+
+} // namespace
+
+TEST(Mtm, OversizedTxnSpillsAndRecovers)
+{
+    // A transaction whose redo exceeds the staged-record cap spills
+    // leading chunks as plain pair records; recovery must stitch the
+    // chunks back together with the commit record's own values.  5000
+    // contiguous words encode to 5001 v2 words, past the 4096-word cap.
+    EXPECT_GT(spillRoundTrip(5000, 3, 1), 1u)
+        << "the transaction fit one record: nothing spilled";
 }
 
 TEST(Mtm, OversizedTxnSpillsAndRecoversBothFormats)
 {
-    // The spill path pinned to each record format explicitly (the
-    // un-suffixed test above runs whatever the default is): leading
-    // chunks go out as plain pair records, the tail as a v1 or compact
-    // v2 commit record; recovery stitches them back together.
-    for (const bool compact : {false, true}) {
-        TempDir dir;
-        constexpr size_t kWords = 2600; // v1 redo = 5202 words > 4096 cap
-        {
-            scm::ScmContext c(scmCfg());
-            scm::ScopedCtx guard(c);
-            auto cfg = rtCfg(dir.path(), mtm::Truncation::kAsync);
-            cfg.txn.compact_redo = compact;
-            Runtime rt(cfg);
-            auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
-                "spill_fmt_arr", kWords * sizeof(uint64_t), nullptr));
-            rt.txns().pauseTruncation();
-            rt.atomic([&](mtm::Txn &tx) {
-                for (size_t i = 0; i < kWords; ++i)
-                    tx.writeT<uint64_t>(&arr[i], i * 5 + 2);
-            });
-            c.crash(true);
-        }
-        scm::ScmContext c2(scmCfg());
-        scm::ScopedCtx guard2(c2);
-        Runtime rt(rtCfg(dir.path()));
-        EXPECT_EQ(rt.txns().stats().replayed_txns, 1u)
-            << "compact=" << compact;
-        auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
-            "spill_fmt_arr", kWords * sizeof(uint64_t), nullptr));
-        for (size_t i = 0; i < kWords; ++i)
-            ASSERT_EQ(arr[i], i * 5 + 2)
-                << "word " << i << " compact=" << compact;
-    }
+    // The spill path in each record format: the runtime writes leading
+    // pair chunks and a compact v2 tail; the v1 fixture writes what the
+    // retired v1 writer did, pair chunks and a v1 commit tail.
+    // Recovery stitches both back together.
+    constexpr size_t kWords = 5000;
+    EXPECT_GT(spillRoundTrip(kWords, 5, 2), 1u);
+
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    V1Log v1(c, kWords);
+    std::map<size_t, uint64_t> ws;
+    for (size_t i = 0; i < kWords; ++i)
+        ws[i] = i * 5 + 2;
+    v1.commit(v1.acquire(), /*ts=*/1, ws);
+    const auto res = v1.recover();
+    EXPECT_EQ(res.committed_replayed, 1u);
+    EXPECT_EQ(res.torn_discarded, 0u);
+    for (size_t i = 0; i < kWords; ++i)
+        ASSERT_EQ(v1.words()[i], i * 5 + 2) << "v1 word " << i;
 }
 
 TEST(Mtm, RedoFormatDifferentialFuzz)
 {
-    // v1 and v2 are two encodings of the same redo: run an identical
-    // randomized transaction sequence under each format, crash, and
-    // recovery must replay BYTE-IDENTICAL images.  Shapes mix clustered
-    // span writes with scattered single-word updates.
+    // One randomized transaction sequence, recovered from both record
+    // formats: the v2 records the runtime writes and the v1 records of
+    // the fixture.  Each recovered image must equal the shadow image
+    // the test keeps.  Shapes mix clustered span writes with scattered
+    // single-word updates.
     constexpr size_t kWords = 256;
     constexpr int kTxns = 12;
     for (uint64_t seed = 0; seed < 4; ++seed) {
-        std::vector<std::vector<uint64_t>> images;
-        for (const bool compact : {false, true}) {
-            TempDir dir;
-            {
-                scm::ScmContext c(scmCfg());
-                scm::ScopedCtx guard(c);
-                auto cfg = rtCfg(dir.path(), mtm::Truncation::kAsync);
-                cfg.txn.compact_redo = compact;
-                Runtime rt(cfg);
-                auto *arr = static_cast<uint64_t *>(
-                    rt.regions().pstaticVar("diff_arr",
-                                            kWords * sizeof(uint64_t),
-                                            nullptr));
-                rt.txns().pauseTruncation();
-                std::mt19937_64 rng(seed * 7919 + 13);
-                for (int t = 0; t < kTxns; ++t) {
-                    const uint64_t span_base = rng() % (kWords - 8);
-                    const uint64_t span_len = 1 + rng() % 7;
-                    uint64_t scattered[4];
-                    for (auto &s : scattered)
-                        s = rng() % kWords;
-                    uint64_t vals[12];
-                    for (auto &v : vals)
-                        v = rng();
-                    rt.atomic([&](mtm::Txn &tx) {
-                        tx.write(&arr[span_base], vals,
-                                 span_len * sizeof(uint64_t));
-                        for (int k = 0; k < 4; ++k)
-                            tx.writeT<uint64_t>(&arr[scattered[k]],
-                                                vals[8 + k % 4]);
-                    });
-                }
-                c.crash(true);
-            }
-            scm::ScmContext c2(scmCfg());
-            scm::ScopedCtx guard2(c2);
-            Runtime rt(rtCfg(dir.path()));
-            EXPECT_EQ(rt.txns().stats().replayed_txns, unsigned(kTxns))
-                << "seed=" << seed << " compact=" << compact;
+        std::mt19937_64 rng(seed * 7919 + 13);
+        std::vector<std::vector<std::pair<size_t, uint64_t>>> txns;
+        std::vector<uint64_t> shadow(kWords, 0);
+        for (int t = 0; t < kTxns; ++t) {
+            const uint64_t span_base = rng() % (kWords - 8);
+            const uint64_t span_len = 1 + rng() % 7;
+            uint64_t scattered[4];
+            for (auto &w : scattered)
+                w = rng() % kWords;
+            uint64_t vals[12];
+            for (auto &v : vals)
+                v = rng();
+            auto &txn = txns.emplace_back();
+            for (uint64_t i = 0; i < span_len; ++i)
+                txn.emplace_back(span_base + i, vals[i]);
+            for (int k = 0; k < 4; ++k)
+                txn.emplace_back(scattered[k], vals[8 + k]);
+            for (const auto &[w, v] : txn)
+                shadow[w] = v;
+        }
+
+        TempDir dir;
+        {
+            scm::ScmContext c(scmCfg());
+            scm::ScopedCtx guard(c);
+            Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
             auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
                 "diff_arr", kWords * sizeof(uint64_t), nullptr));
-            images.emplace_back(arr, arr + kWords);
+            rt.txns().pauseTruncation();
+            for (const auto &txn : txns) {
+                rt.atomic([&](mtm::Txn &tx) {
+                    // The span as one write() call, then the scattered
+                    // words one by one.
+                    const size_t span = txn.size() - 4;
+                    std::vector<uint64_t> vals;
+                    for (size_t i = 0; i < span; ++i)
+                        vals.push_back(txn[i].second);
+                    tx.write(&arr[txn[0].first], vals.data(),
+                             span * sizeof(uint64_t));
+                    for (size_t i = span; i < txn.size(); ++i)
+                        tx.writeT<uint64_t>(&arr[txn[i].first],
+                                            txn[i].second);
+                });
+            }
+            c.crash(true);
         }
-        ASSERT_EQ(images[0], images[1]) << "seed=" << seed;
+        {
+            scm::ScmContext c(scmCfg());
+            scm::ScopedCtx guard(c);
+            Runtime rt(rtCfg(dir.path()));
+            EXPECT_EQ(rt.txns().stats().replayed_txns, unsigned(kTxns))
+                << "seed=" << seed;
+            auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
+                "diff_arr", kWords * sizeof(uint64_t), nullptr));
+            EXPECT_EQ(std::vector<uint64_t>(arr, arr + kWords), shadow)
+                << "v2 image, seed=" << seed;
+        }
+
+        scm::ScmContext c(scmCfg());
+        scm::ScopedCtx guard(c);
+        V1Log v1(c, kWords);
+        auto &log = v1.acquire();
+        for (size_t t = 0; t < txns.size(); ++t) {
+            std::map<size_t, uint64_t> ws; // last write of a word wins
+            for (const auto &[w, v] : txns[t])
+                ws[w] = v;
+            v1.commit(log, /*ts=*/t + 1, ws);
+        }
+        EXPECT_EQ(v1.recover().committed_replayed, size_t(kTxns));
+        EXPECT_EQ(v1.words(), shadow) << "v1 image, seed=" << seed;
     }
 }
 
@@ -660,57 +791,236 @@ TEST(Mtm, TornTailRecoveryPrefixBothFormats)
     // Crash MID-APPEND of the last transaction's commit record: the
     // tornbit scan must drop the partial record, and recovery replays
     // either the 6 completed transactions or all 7 (the in-flight one
-    // may have reached its durability point) — never a torn mix.
+    // may have reached its durability point) — never a torn mix.  The
+    // runtime writes v2 records; the fixture writes v1 records.
     constexpr size_t kWords = 64;
     constexpr int kDone = 6;
     auto image = [&](int txns) {
         std::vector<uint64_t> v(kWords, 0);
         for (int t = 0; t < txns; ++t)
-            for (size_t i = t; i < size_t(t) + 9 && i < kWords; ++i)
-                v[i] = uint64_t(t) * 4096 + i + 1;
+            for (const auto &[w, val] : tornTailTxn(t))
+                v[w] = val;
         return v;
     };
-    for (const bool compact : {false, true}) {
-        TempDir dir;
-        {
-            scm::ScmContext c(scmCfg());
-            scm::ScopedCtx guard(c);
-            auto cfg = rtCfg(dir.path(), mtm::Truncation::kAsync);
-            cfg.txn.compact_redo = compact;
-            Runtime rt(cfg);
-            auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
-                "torn_arr", kWords * sizeof(uint64_t), nullptr));
-            rt.txns().pauseTruncation();
-            auto body = [&](int t) {
-                return [&, t](mtm::Txn &tx) {
-                    for (size_t i = t; i < size_t(t) + 9 && i < kWords;
-                         ++i)
-                        tx.writeT<uint64_t>(&arr[i],
-                                            uint64_t(t) * 4096 + i + 1);
-                };
+    auto expectPrefix = [&](const std::vector<uint64_t> &got,
+                            const char *format) {
+        EXPECT_TRUE(got == image(kDone) || got == image(kDone + 1))
+            << format << ": image is neither the " << kDone
+            << "-txn nor the " << (kDone + 1) << "-txn prefix";
+    };
+
+    TempDir dir;
+    {
+        scm::ScmContext c(scmCfg());
+        scm::ScopedCtx guard(c);
+        Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+        auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
+            "torn_arr", kWords * sizeof(uint64_t), nullptr));
+        rt.txns().pauseTruncation();
+        auto body = [&](int t) {
+            return [&, t](mtm::Txn &tx) {
+                for (const auto &[w, val] : tornTailTxn(t))
+                    tx.writeT<uint64_t>(&arr[w], val);
             };
-            for (int t = 0; t < kDone; ++t)
-                rt.atomic(body(t));
-            bool crashed = false;
-            try {
-                CrashAt crash(c, c.eventCount() + 2);
-                rt.atomic(body(kDone));
-            } catch (const scm::CrashNow &) {
-                crashed = true;
-            }
-            ASSERT_TRUE(crashed);
-            c.crash(true);
+        };
+        for (int t = 0; t < kDone; ++t)
+            rt.atomic(body(t));
+        bool crashed = false;
+        try {
+            CrashAt crash(c, c.eventCount() + 2);
+            rt.atomic(body(kDone));
+        } catch (const scm::CrashNow &) {
+            crashed = true;
         }
-        scm::ScmContext c2(scmCfg());
-        scm::ScopedCtx guard2(c2);
+        ASSERT_TRUE(crashed);
+        c.crash(true);
+    }
+    {
+        scm::ScmContext c(scmCfg());
+        scm::ScopedCtx guard(c);
         Runtime rt(rtCfg(dir.path()));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "torn_arr", kWords * sizeof(uint64_t), nullptr));
-        const std::vector<uint64_t> got(arr, arr + kWords);
-        EXPECT_TRUE(got == image(kDone) || got == image(kDone + 1))
-            << "compact=" << compact << ": image is neither the "
-            << kDone << "-txn nor the " << (kDone + 1) << "-txn prefix";
+        expectPrefix(std::vector<uint64_t>(arr, arr + kWords), "v2");
     }
+
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    V1Log v1(c, kWords);
+    auto &log = v1.acquire();
+    for (int t = 0; t < kDone; ++t)
+        v1.commit(log, /*ts=*/t + 1, tornTailTxn(t));
+    bool crashed = false;
+    try {
+        CrashAt crash(c, c.eventCount() + 2);
+        v1.commit(log, /*ts=*/kDone + 1, tornTailTxn(kDone));
+    } catch (const scm::CrashNow &) {
+        crashed = true;
+    }
+    ASSERT_TRUE(crashed);
+    v1.recover();
+    expectPrefix(v1.words(), "v1");
+}
+
+TEST(Mtm, V1CommitRecordsReplayInTimestampOrder)
+{
+    // Whole [kTagCommit, ts, (addr, val)...] records in two slots:
+    // recovery replays them by timestamp across slots, so the latest
+    // timestamp's value wins whatever the slot order.
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    V1Log v1(c, 4);
+    auto &a = v1.acquire();
+    auto &b = v1.acquire();
+    v1.commit(a, /*ts=*/3, {{0, 30}});
+    v1.commit(a, /*ts=*/1, {{0, 10}, {1, 11}, {2, 12}});
+    v1.commit(b, /*ts=*/2, {{0, 20}, {1, 21}});
+    const auto res = v1.recover();
+    EXPECT_EQ(res.committed_replayed, 3u);
+    EXPECT_EQ(res.max_ts, 3u);
+    EXPECT_EQ(res.torn_discarded, 0u);
+    EXPECT_EQ(v1.words(), (std::vector<uint64_t>{30, 21, 12, 0}));
+}
+
+TEST(Mtm, V1PairChunksStitchOrDiscard)
+{
+    // Spilled pair chunks followed by their commit record replay as one
+    // transaction.  Chunks followed by [kTagAbort] are dropped as
+    // aborted; chunks with no commit record at the end of a log are a
+    // torn transaction.
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    V1Log v1(c, 8);
+    auto &a = v1.acquire();
+    auto &b = v1.acquire();
+    // 2 + 2 * 5 words against a 6-word cap: two 2-pair chunks, then the
+    // commit record with the fifth pair.
+    v1.commit(a, /*ts=*/7, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}},
+              mtm::kTagCommit, /*max_rec=*/6);
+    v1.append(b, {v1.addr(5), 6});
+    v1.append(b, {mtm::kTagAbort});
+    v1.append(b, {v1.addr(6), 7, v1.addr(7), 8});
+    const auto res = v1.recover();
+    EXPECT_EQ(res.committed_replayed, 1u);
+    EXPECT_EQ(res.aborted_discarded, 1u);
+    EXPECT_EQ(res.torn_discarded, 1u);
+    EXPECT_EQ(v1.words(), (std::vector<uint64_t>{1, 2, 3, 4, 5, 0, 0, 0}));
+}
+
+TEST(Mtm, V1EpochRecordsReplayOnlyUnderTheirMarker)
+{
+    // [kTagCommitEpoch, ts, ...] records replay only when an epoch
+    // marker [kTagEpoch, e, n, (slot, to, ts)...] names them and every
+    // member the marker names survives.  Epoch 1 is whole; epoch 2
+    // names a member record that never reached its slot, so its
+    // surviving member is dropped with it; the ts-3 record has no
+    // marker at all.
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    V1Log v1(c, 4);
+    auto &member = v1.acquire();
+    auto &sibling = v1.acquire();
+    auto &markers = v1.acquire();
+    v1.commit(member, /*ts=*/1, {{0, 10}}, mtm::kTagCommitEpoch);
+    const uint64_t to1 = member.tailAbs();
+    v1.commit(member, /*ts=*/2, {{1, 20}}, mtm::kTagCommitEpoch);
+    const uint64_t to2 = member.tailAbs();
+    v1.commit(member, /*ts=*/3, {{2, 30}}, mtm::kTagCommitEpoch);
+    v1.commit(sibling, /*ts=*/4, {{3, 40}}); // plain, always replayed
+    const uint64_t sib_to = sibling.tailAbs() + 8;
+    v1.append(markers, {mtm::kTagEpoch, 1, 1, member.slotId(), to1, 1});
+    v1.append(markers, {mtm::kTagEpoch, 2, 2, member.slotId(), to2, 2,
+                        sibling.slotId(), sib_to, 99});
+    const auto res = v1.recover();
+    EXPECT_EQ(res.committed_replayed, 2u); // ts 1 (epoch) and ts 4
+    EXPECT_EQ(res.epoch_replayed, 1u);
+    EXPECT_EQ(res.unfenced_epoch_discarded, 2u);
+    EXPECT_EQ(res.max_ts, 4u);
+    EXPECT_EQ(v1.words(), (std::vector<uint64_t>{10, 0, 0, 40}));
+}
+
+TEST(Mtm, CompactRecordLogWordsPerClusteredTxn)
+{
+    // The 4-word clustered update (one write() span) stages one compact
+    // record: 5 payload words (tag and stream word, four values), 7
+    // after tornbit framing.  The v1 shape [tag, ts, 4 x (addr, val)]
+    // is 10 payload words, 12 framed; v2 must stay within 0.65x of it.
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+    constexpr size_t kArr = 256;
+    auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
+        "clustered_arr", kArr * sizeof(uint64_t), nullptr));
+    rt.txns().pauseTruncation();
+    constexpr uint64_t kTxns = 256;
+    const StatsOn stats;
+    const uint64_t words0 = statCounter("rawl.append_words");
+    for (uint64_t i = 0; i < kTxns; ++i) {
+        const uint64_t vals[4] = {i, i + 1, i + 2, i + 3};
+        rt.atomic([&](mtm::Txn &tx) {
+            tx.write(&arr[(i * 4) % kArr], vals, sizeof(vals));
+        });
+    }
+    const uint64_t words = statCounter("rawl.append_words") - words0;
+    EXPECT_EQ(words, 7 * kTxns);
+    constexpr uint64_t kV1FramedWords = 12;
+    EXPECT_LE(double(words), 0.65 * double(kV1FramedWords * kTxns));
+}
+
+TEST(Mtm, TruncatorFlushesHotLineOncePerBatch)
+{
+    // 256 async-truncation transactions rewrite one cache line while
+    // the truncator is paused.  The drain merges their tasks and
+    // flushes that line once; a per-task drain flushed it 256 times,
+    // and the bound the dedup has to keep is 2x.
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+    auto *raw = static_cast<uint64_t *>(rt.regions().pstaticVar(
+        "hot_arr", 2 * scm::kCacheLineSize, nullptr));
+    auto *line = reinterpret_cast<uint64_t *>(
+        (reinterpret_cast<uintptr_t>(raw) + scm::kCacheLineSize - 1) &
+        ~uintptr_t(scm::kCacheLineSize - 1));
+    rt.txns().pauseTruncation();
+    constexpr uint64_t kTxns = 256;
+    for (uint64_t i = 0; i < kTxns; ++i) {
+        rt.atomic([&](mtm::Txn &tx) {
+            for (uint64_t k = 0; k < 4; ++k)
+                tx.writeT<uint64_t>(&line[k], i + k);
+        });
+    }
+    const uint64_t flushes0 = c.statsSnapshot().flushes;
+    rt.txns().resumeTruncation();
+    rt.txns().drainTruncation();
+    EXPECT_EQ(c.statsSnapshot().flushes - flushes0, 1u);
+    EXPECT_EQ(rt.txns().truncationBacklog(), 0u);
+}
+
+TEST(Mtm, SyncTruncationStartsNoTruncatorThread)
+{
+    // Only a runtime that can enqueue truncation tasks — async
+    // truncation or group commit — starts the truncation thread.  A
+    // warm-up runtime first starts any process-global thread.
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    auto extraThreads = [&](const RuntimeConfig &cfg, size_t base) {
+        Runtime rt(cfg);
+        uint64_t *x = pvar(rt, "x");
+        rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 1); });
+        return threadCount() - base;
+    };
+    (void)extraThreads(rtCfg(dir.path()), 0);
+    const size_t base = threadCount();
+    EXPECT_EQ(extraThreads(rtCfg(dir.path()), base), 0u) << "kSync";
+    EXPECT_EQ(extraThreads(rtCfg(dir.path(), mtm::Truncation::kAsync), base),
+              1u)
+        << "kAsync";
+    auto gc = rtCfg(dir.path());
+    gc.txn.group_commit = true;
+    EXPECT_EQ(extraThreads(gc, base), 1u) << "group commit";
 }
 
 TEST(Mtm, LockTableHashDistributionTracksTableSize)

@@ -406,7 +406,10 @@ TEST(Pptr, AcceptsPersistentRejectsNothingWhenNoLayer)
 #ifndef NDEBUG
 TEST(PptrDeathTest, RejectsVolatileTarget)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // "fast": the child forks from here instead of re-running the test
+    // body, so it makes no TempDir of its own that its death would
+    // leave behind.
+    ::testing::FLAGS_gtest_death_test_style = "fast";
     TempDir dir;
     scm::ScmContext c(scmCfg());
     scm::ScopedCtx guard(c);

@@ -1,16 +1,18 @@
 /**
  * @file
- * Shared helpers for Mnemosyne tests: temporary backing directories and
- * small-footprint region configurations.
+ * Shared helpers for Mnemosyne tests: temporary backing directories,
+ * small-footprint region configurations, and stats-counter reads.
  */
 
 #ifndef MNEMOSYNE_TESTS_TEST_UTIL_H_
 #define MNEMOSYNE_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 
+#include "obs/stats_registry.h"
 #include "region/region_manager.h"
 
 namespace mnemosyne::test {
@@ -49,6 +51,17 @@ smallRegionConfig(const std::string &dir)
     cfg.scm_capacity = size_t(64) << 20;     // 64 MB of simulated SCM
     cfg.va_reserve = size_t(2) << 30;        // 2 GB reservation
     return cfg;
+}
+
+/** Exact value of the stats counter @p key, from a registry snapshot. */
+inline uint64_t
+statCounter(const std::string &key)
+{
+    const std::string snap = obs::StatsRegistry::instance().jsonSnapshot();
+    const std::string pat = "\"" + key + "\":";
+    const size_t at = snap.find(pat);
+    return at == std::string::npos ? 0
+                                   : std::stoull(snap.substr(at + pat.size()));
 }
 
 } // namespace mnemosyne::test
