@@ -41,7 +41,7 @@ hashRun(size_t lock_bits, int threads, size_t vsize, int ops,
 {
     bench::ScratchDir dir("ablation");
     scm::ScmContext ctx(bench::paperScmConfig());
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     auto cfg = bench::paperRuntimeConfig(dir.path());
     cfg.txn.lock_bits = lock_bits;
     Runtime rt(cfg);

@@ -31,7 +31,7 @@ latencyUs(Truncation trunc, size_t value_size, int idle_pct, int ops)
 {
     bench::ScratchDir dir("fig6");
     scm::ScmContext ctx(bench::paperScmConfig());
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     Runtime rt(bench::paperRuntimeConfig(dir.path(), trunc));
     ds::PHashTable table(rt, "bench_table", 8192);
 

@@ -36,12 +36,11 @@ bootReconstruction()
     for (size_t mb : {64, 256, 512}) {
         bench::ScratchDir dir("reinc_boot");
         scm::ScmContext ctx(bench::paperScmConfig(150, /*spin=*/false));
-        scm::ScopedCtx guard(ctx);
         region::RegionConfig cfg;
         cfg.backing_dir = dir.path();
         cfg.scm_capacity = mb << 20;
         cfg.va_reserve = size_t(4) << 30;
-        region::RegionManager mgr(cfg);
+        region::RegionManager mgr(ctx, cfg);
         region::RegionLayer layer(mgr);
         // Fill most of the zone with mapped pages (worst case: a
         // persistent region entry for each SCM frame).
@@ -67,7 +66,7 @@ processStart()
     bench::ScratchDir dir("reinc_proc");
     {
         scm::ScmContext ctx(bench::paperScmConfig(150, false));
-        scm::ScopedCtx guard(ctx);
+        scm::setCtx(&ctx);
         Runtime rt(bench::paperRuntimeConfig(dir.path()));
         // Populate the heap: ~100K live allocations across size classes.
         auto **roots = static_cast<void **>(rt.regions().pstaticVar(
@@ -81,7 +80,7 @@ processStart()
         }
     }
     scm::ScmContext ctx(bench::paperScmConfig(150, false));
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     Runtime rt(bench::paperRuntimeConfig(dir.path()));
     const auto r = rt.reincarnation();
     std::printf("    remap persistent regions: %8.2f ms  (paper ~1.1 ms)\n",
@@ -100,7 +99,7 @@ txnReplay()
     {
         scm::ScmConfig sc; // failure tracking ON for the crash
         scm::ScmContext ctx(sc);
-        scm::ScopedCtx guard(ctx);
+        scm::setCtx(&ctx);
         auto cfg = bench::paperRuntimeConfig(
             dir.path(), mnemosyne::mtm::Truncation::kAsync);
         Runtime rt(cfg);
@@ -117,7 +116,7 @@ txnReplay()
         ctx.crash(true);
     }
     scm::ScmContext ctx(bench::paperScmConfig(150, false));
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     bench::Timer t;
     Runtime rt(bench::paperRuntimeConfig(dir.path()));
     const auto r = rt.reincarnation();

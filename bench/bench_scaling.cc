@@ -107,7 +107,7 @@ runHeapCell(int nthreads, bool global_lock)
     scmCfg.latency_mode = scm::LatencyMode::kVirtual;
     scmCfg.write_latency_ns = kHeapCellLatencyNs;
     scm::ScmContext ctx(scmCfg);
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     auto rc = bench::paperRuntimeConfig(dir.path(),
                                        mnemosyne::mtm::Truncation::kSync, 32);
     rc.heap_global_lock = global_lock;
@@ -211,7 +211,7 @@ runTxnCell(int nthreads, TxnMode mode)
     bench::ScratchDir dir(std::string("scaling_txn_") + txnModeName(mode) +
                           std::to_string(nthreads));
     scm::ScmContext ctx(fastLaneScm());
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     auto rc = bench::paperRuntimeConfig(dir.path());
     if (mode != TxnMode::kBaseline)
         rc.txn.group_commit = true;

@@ -108,14 +108,14 @@ main()
 
     bench::ScratchDir dir("table2");
     scm::ScmContext ctx(bench::paperScmConfig());
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     Runtime rt(bench::paperRuntimeConfig(dir.path()));
 
     // Persistent space for every method.
     auto *var = static_cast<uint64_t *>(
         rt.regions().pstaticVar("t2_var", 8, nullptr));
     auto *log_mem = rt.pmap(nullptr, 1 << 20);
-    auto log = mnemosyne::log::Rawl::create(log_mem, 1 << 20);
+    auto log = mnemosyne::log::Rawl::create(ctx, log_mem, 1 << 20);
     auto *arena = static_cast<uint8_t *>(rt.pmap(nullptr, 1 << 20));
     auto *ref = static_cast<uint64_t *>(
         rt.regions().pstaticVar("t2_ref", 8, nullptr));

@@ -92,7 +92,7 @@ main()
     {
         bench::ScratchDir dir("ldap");
         scm::ScmContext ctx(bench::paperScmConfig());
-        scm::ScopedCtx guard(ctx);
+        scm::setCtx(&ctx);
         Runtime rt(bench::paperRuntimeConfig(dir.path()));
         apps::AttrDescTable descs;
         apps::BackMnemosyne be(rt, descs);

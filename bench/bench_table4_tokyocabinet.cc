@@ -85,7 +85,7 @@ main()
     {
         bench::ScratchDir dir("tc");
         scm::ScmContext ctx(bench::paperScmConfig());
-        scm::ScopedCtx guard(ctx);
+        scm::setCtx(&ctx);
         Runtime rt(bench::paperRuntimeConfig(dir.path()));
         apps::TokyoMini tc64(rt, "tree64");
         mn64 = runTc(tc64, 1, ops, 64);
@@ -103,7 +103,7 @@ main()
     {
         bench::ScratchDir dir("tc4");
         scm::ScmContext ctx(bench::paperScmConfig());
-        scm::ScopedCtx guard(ctx);
+        scm::setCtx(&ctx);
         Runtime rt(bench::paperRuntimeConfig(dir.path()));
         apps::TokyoMini tc(rt, "tree4t");
         mn4 = runTc(tc, 4, ops / 2, 64);

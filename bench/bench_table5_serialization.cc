@@ -40,7 +40,7 @@ main()
 
     bench::ScratchDir dir("table5");
     scm::ScmContext ctx(bench::paperScmConfig());
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     Runtime rt(bench::paperRuntimeConfig(dir.path(),mnemosyne::mtm::
                                              Truncation::kSync,
                                          /*heap_mb=*/512));

@@ -57,7 +57,7 @@ main()
                      "worse above (bit packing scales with data)");
 
     scm::ScmContext ctx(bench::paperScmConfig());
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
 
     const std::vector<size_t> sizes = {8, 64, 256, 1024, 2048, 4096};
     std::printf("%12s  %12s  %12s  %10s\n", "record B", "base MB/s",
@@ -68,9 +68,9 @@ main()
         const int iters = bytes <= 256 ? 20000 : 5000;
         std::vector<uint64_t> base_arena((1 << 20) / 8, 0);
         std::vector<uint64_t> torn_arena((1 << 20) / 8, 0);
-        auto base = mlog::CommitRecordLog::create(base_arena.data(),
+        auto base = mlog::CommitRecordLog::create(ctx, base_arena.data(),
                                                   1 << 20);
-        auto torn = mlog::Rawl::create(torn_arena.data(), 1 << 20);
+        auto torn = mlog::Rawl::create(ctx, torn_arena.data(), 1 << 20);
 
         const double base_mbs = throughputMBs(*base, bytes, iters);
         const double torn_mbs = throughputMBs(*torn, bytes, iters);

@@ -81,13 +81,18 @@ paperDiskConfig(uint64_t write_latency_ns = 150)
     return cfg;
 }
 
+/**
+ * Runtime sized like the paper's experiments.  It borrows the published
+ * SCM context (scm::ctx()), so a benchmark publishes its emulator first
+ * — which also makes the stats line's "scm.*" keys report it.
+ */
 inline RuntimeConfig
 paperRuntimeConfig(const std::string &dir,
                    mtm::Truncation trunc = mtm::Truncation::kSync,
                    size_t heap_mb = 256)
 {
     RuntimeConfig cfg;
-    cfg.use_current_scm_context = true;
+    cfg.scm_context = &scm::ctx();
     cfg.region.backing_dir = dir;
     cfg.region.scm_capacity = size_t(heap_mb + 320) << 20;
     cfg.region.va_reserve = size_t(4) << 30;

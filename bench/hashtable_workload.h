@@ -85,7 +85,7 @@ runMtmCell(const std::string &scratch_tag, int threads, size_t value_size,
 {
     ScratchDir dir(scratch_tag);
     scm::ScmContext ctx(paperScmConfig(write_latency_ns));
-    scm::ScopedCtx guard(ctx);
+    scm::setCtx(&ctx);
     Runtime rt(paperRuntimeConfig(dir.path(), trunc));
     ds::PHashTable table(rt, "bench_table", 16384);
     return runCell(

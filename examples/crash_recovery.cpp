@@ -28,10 +28,11 @@ namespace crash = mn::crash;
 namespace {
 
 mn::RuntimeConfig
-config(const std::string &dir, bool async_truncation = false)
+config(mn::scm::ScmContext &c, const std::string &dir,
+       bool async_truncation = false)
 {
     mn::RuntimeConfig cfg;
-    cfg.use_current_scm_context = true;
+    cfg.scm_context = &c;
     cfg.region.backing_dir = dir;
     cfg.region.scm_capacity = size_t(64) << 20;
     cfg.region.va_reserve = size_t(2) << 30;
@@ -51,10 +52,9 @@ stressRound(const std::string &dir, uint64_t seed)
         sc.crash_mode = mn::scm::CrashPersistMode::kRandomSubset;
         sc.crash_seed = seed * 7 + 3;
         mn::scm::ScmContext c(sc);
-        mn::scm::ScopedCtx guard(c);
         // Odd seeds use asynchronous truncation: committed txns then
         // sit in the redo logs and recovery must replay them.
-        mn::Runtime rt(config(dir, seed % 2 == 1));
+        mn::Runtime rt(config(c, dir, seed % 2 == 1));
         if (seed % 2 == 1)
             rt.txns().pauseTruncation();
         crash::StressEngine engine(rt, seed);
@@ -64,8 +64,7 @@ stressRound(const std::string &dir, uint64_t seed)
         c.crash(true); // power failure
     }
     mn::scm::ScmContext c2{mn::scm::ScmConfig{}};
-    mn::scm::ScopedCtx guard2(c2);
-    mn::Runtime rt(config(dir));
+    mn::Runtime rt(config(c2, dir));
     const auto res = crash::StressEngine::verify(rt, seed, committed);
     std::printf("  seed %2llu: crashed after %3llu committed txns, "
                 "%zu replayed at recovery -> %s\n",
@@ -80,9 +79,8 @@ tornBitDemo()
 {
     std::printf("\ntorn-bit detection (RAWL):\n");
     mn::scm::ScmContext c{mn::scm::ScmConfig{}};
-    mn::scm::ScopedCtx guard(c);
     std::vector<uint64_t> arena(4096 / 8, 0);
-    auto log = mn::log::Rawl::create(arena.data(), 4096);
+    auto log = mn::log::Rawl::create(c, arena.data(), 4096);
     const uint64_t recs[][3] = {{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
     for (const auto &r : recs)
         log->append(r, 3);
@@ -94,7 +92,7 @@ tornBitDemo()
         reinterpret_cast<mn::log::Rawl::Header *>(arena.data()) + 1);
     buf[6] ^= (uint64_t(1) << 63);
 
-    auto re = mn::log::Rawl::open(arena.data());
+    auto re = mn::log::Rawl::open(c, arena.data());
     auto cur = re->begin();
     std::vector<uint64_t> out;
     int recovered = 0;

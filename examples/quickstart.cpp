@@ -68,7 +68,7 @@ pushFront(mn::Runtime &rt, ListHead *head, uint64_t value)
     // slot — a crash anywhere leaks nothing.
     rt.resetStaging();
     auto *node = static_cast<ListNode *>(rt.stageAlloc(sizeof(ListNode)));
-    mn::scm::ctx().wtstoreT(&node->value, value);
+    rt.scm().wtstoreT(&node->value, value);
 
     rt.atomic([&](mn::mtm::Txn &tx) {
         tx.writeT<ListNode *>(&node->next, tx.readT<ListNode *>(&head->first));

@@ -5,20 +5,17 @@
 
 namespace mnemosyne::crash {
 
-CrashPoint::CrashPoint(scm::ScmContext &c, uint64_t at, bool halt_on_fire)
-    : c_(c)
+CrashPoint::CrashPoint(scm::ScmContext &c, uint64_t at) : c_(c)
 {
-    c_.setWriteHook([this, at, halt_on_fire](uint64_t n,
-                                             scm::ScmContext::Event,
-                                             const void *, size_t) {
+    c_.setWriteHook([this, at](uint64_t n, scm::ScmContext::Event,
+                               const void *, size_t) {
         if (!fired_ && n >= at) {
             fired_ = true;
             firedEvent_ = n;
-            // The machine dies *now*: with halt_on_fire, no write issued
-            // by unwinding code can reach SCM, so the post-crash image
-            // depends only on the pre-crash history and the crash mode.
-            if (halt_on_fire)
-                c_.haltNow();
+            // The machine dies *now*: no write issued by unwinding code
+            // can reach SCM, so the post-crash image depends only on the
+            // pre-crash history and the crash mode.
+            c_.haltNow();
             throw scm::CrashNow{n};
         }
     });

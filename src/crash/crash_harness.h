@@ -26,15 +26,14 @@ namespace mnemosyne::crash {
 
 /**
  * One-shot crash injector: fires CrashNow at the first persistence
- * event >= @p at.  By default the context is halted at that instant
- * (haltNow), so code unwinding past the crash point cannot alter the
- * post-crash image; pass halt_on_fire = false for the legacy behavior
- * where unwinding writes proceed and are resolved by crash().
+ * event >= @p at.  The context is halted at that instant (haltNow), so
+ * code unwinding past the crash point cannot alter the post-crash
+ * image.
  */
 class CrashPoint
 {
   public:
-    CrashPoint(scm::ScmContext &c, uint64_t at, bool halt_on_fire = true);
+    CrashPoint(scm::ScmContext &c, uint64_t at);
     ~CrashPoint();
 
     CrashPoint(const CrashPoint &) = delete;

@@ -84,7 +84,7 @@ class RawlScenario final : public Scenario
     {
         void *buf = env.rt.regions().pstaticVar("sweep_rawl", kLogBytes,
                                                 nullptr);
-        log_ = log::Rawl::create(buf, kLogBytes);
+        log_ = log::Rawl::create(env.scm, buf, kLogBytes);
     }
 
     void
@@ -106,7 +106,7 @@ class RawlScenario final : public Scenario
     {
         void *buf = env.rt.regions().pstaticVar("sweep_rawl", kLogBytes,
                                                 nullptr);
-        auto re = log::Rawl::open(buf);
+        auto re = log::Rawl::open(env.scm, buf);
         if (!re)
             return "rawl: reopen failed (corrupt header)";
         auto cur = re->begin();

@@ -155,10 +155,11 @@ Sweeper::Sweeper(SweepOptions opts) : opts_(std::move(opts))
 }
 
 RuntimeConfig
-Sweeper::trialConfig(const std::string &dir, size_t worker) const
+Sweeper::trialConfig(scm::ScmContext &c, const std::string &dir,
+                     size_t worker) const
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region.backing_dir = dir;
     rc.region.scm_capacity = size_t(64) << 20;
     // Each worker owns a disjoint slice of persistent address space, so
@@ -182,8 +183,7 @@ Sweeper::countEvents(const std::string &scenario)
     uint64_t n = 0;
     {
         scm::ScmContext c{scm::ScmConfig{}};
-        scm::ScopedThreadCtx guard(c);
-        RuntimeConfig rcfg = trialConfig(dir.path(), 0);
+        RuntimeConfig rcfg = trialConfig(c, dir.path(), 0);
         sc->configure(rcfg);
         Runtime rt(rcfg);
         ScenarioEnv env{rt, c};
@@ -196,8 +196,7 @@ Sweeper::countEvents(const std::string &scenario)
         n = c.eventCount() - start;
     } // clean shutdown
     scm::ScmContext c2{scm::ScmConfig{}};
-    scm::ScopedThreadCtx guard2(c2);
-    RuntimeConfig rcfg2 = trialConfig(dir.path(), 0);
+    RuntimeConfig rcfg2 = trialConfig(c2, dir.path(), 0);
     sc->configure(rcfg2);
     Runtime rt2(rcfg2);
     ScenarioEnv env2{rt2, c2};
@@ -232,8 +231,7 @@ Sweeper::runTrialIn(const SweepSpec &spec, size_t worker)
             scfg.crash_mode = spec.mode;
             scfg.crash_seed = spec.seed;
             scm::ScmContext c(scfg);
-            scm::ScopedThreadCtx guard(c);
-            RuntimeConfig rcfg = trialConfig(dir.path(), worker);
+            RuntimeConfig rcfg = trialConfig(c, dir.path(), worker);
             sc->configure(rcfg);
             Runtime rt(rcfg);
             ScenarioEnv env{rt, c};
@@ -257,8 +255,7 @@ Sweeper::runTrialIn(const SweepSpec &spec, size_t worker)
         // Reincarnate over the same backing files, under a pristine
         // context, and check the scenario's invariant.
         scm::ScmContext c2{scm::ScmConfig{}};
-        scm::ScopedThreadCtx guard2(c2);
-        RuntimeConfig rcfg2 = trialConfig(dir.path(), worker);
+        RuntimeConfig rcfg2 = trialConfig(c2, dir.path(), worker);
         sc->configure(rcfg2);
         const auto t0 = clk::now();
         Runtime rt2(rcfg2);

@@ -12,10 +12,10 @@
  *
  *  2. fans the cross product {event k = 1..N} x {crash persistence
  *     mode} x {seed, for kRandomSubset} out over a worker pool.  Each
- *     trial runs in full isolation — its own ScmContext (installed as
- *     the worker thread's context override), its own backing-file
- *     tmpdir, its own slice of persistent address space — so workers
- *     never share emulator or mapping state;
+ *     trial runs in full isolation — its own ScmContext (passed to the
+ *     trial's Runtime, which hands it to every layer), its own
+ *     backing-file tmpdir, its own slice of persistent address space —
+ *     so workers never share emulator or mapping state;
  *
  *  3. for each trial: replays prepare + workload with a crash point at
  *     event k, computes the post-crash SCM image under the trial's
@@ -161,7 +161,8 @@ class Sweeper
 
   private:
     TrialResult runTrialIn(const SweepSpec &spec, size_t worker);
-    RuntimeConfig trialConfig(const std::string &dir, size_t worker) const;
+    RuntimeConfig trialConfig(scm::ScmContext &c, const std::string &dir,
+                              size_t worker) const;
 
     SweepOptions opts_;
 };

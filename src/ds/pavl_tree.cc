@@ -18,7 +18,7 @@ PAvlTree::makeNode(std::string_view key, std::string_view value)
 {
     auto *node = static_cast<Node *>(
         rt_.stageAlloc(sizeof(Node) + key.size() + value.size()));
-    auto &c = scm::ctx();
+    auto &c = rt_.scm();
     Node init;
     init.left = nullptr;
     init.right = nullptr;

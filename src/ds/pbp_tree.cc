@@ -18,7 +18,7 @@ PBpTree::Node *
 PBpTree::makeNode(bool leaf)
 {
     auto *n = static_cast<Node *>(rt_.stageAlloc(sizeof(Node)));
-    auto &c = scm::ctx();
+    auto &c = rt_.scm();
     std::vector<uint8_t> zero(sizeof(Node), 0);
     c.wtstore(n, zero.data(), zero.size());
     const uint64_t is_leaf = leaf ? 1 : 0;

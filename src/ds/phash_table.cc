@@ -27,7 +27,7 @@ PHashTable::PHashTable(Runtime &rt, const std::string &name, size_t nbuckets,
     if (hdr_->initDone)
         return;
 
-    auto &c = scm::ctx();
+    auto &c = rt_.scm();
     if (hdr_->buckets == nullptr) {
         rt_.pmalloc(nbuckets * sizeof(Node *), &hdr_->buckets);
     }
@@ -50,7 +50,7 @@ PHashTable::makeNode(std::string_view key, std::string_view value)
     // The node is private until linked: initialize it with streaming
     // writes; the linking transaction's commit fence makes both the
     // node image and the link durable together.
-    auto &c = scm::ctx();
+    auto &c = rt_.scm();
     Node init;
     init.next = nullptr;
     init.hash = hashOf(key);

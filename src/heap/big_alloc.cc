@@ -59,7 +59,7 @@ BigAlloc::chunkFooter(uint64_t off, uint64_t size) const
 }
 
 std::unique_ptr<BigAlloc>
-BigAlloc::create(void *mem, size_t bytes)
+BigAlloc::create(scm::ScmContext &c, void *mem, size_t bytes)
 {
     assert(bytes > sizeof(Header) + kRedoLogBytes + 2 * kMinChunk);
     auto *hdr = static_cast<Header *>(mem);
@@ -70,7 +70,6 @@ BigAlloc::create(void *mem, size_t bytes)
         ((bytes - sizeof(Header) - kRedoLogBytes - kHeaderBytes) / kAlign) *
         kAlign;
 
-    auto &c = scm::ctx();
     // One big free chunk plus an in-use, zero-size sentinel that stops
     // forward coalescing and the recovery walk.
     const uint64_t first = uint64_t(chunk_bytes);
@@ -86,14 +85,14 @@ BigAlloc::create(void *mem, size_t bytes)
 
     auto a = std::unique_ptr<BigAlloc>(new BigAlloc(hdr, chunks,
                                                     chunk_bytes));
-    a->log_ = log::Rawl::create(log_mem, kRedoLogBytes);
+    a->log_ = log::Rawl::create(c, log_mem, kRedoLogBytes);
     a->redo_ = std::make_unique<log::AtomicRedo>(*a->log_);
     a->rebuildFreeList();
     return a;
 }
 
 std::unique_ptr<BigAlloc>
-BigAlloc::open(void *mem)
+BigAlloc::open(scm::ScmContext &c, void *mem)
 {
     auto *hdr = static_cast<Header *>(mem);
     if (hdr->magic != kMagic)
@@ -102,7 +101,7 @@ BigAlloc::open(void *mem)
     auto *chunks = log_mem + kRedoLogBytes;
     auto a = std::unique_ptr<BigAlloc>(
         new BigAlloc(hdr, chunks, size_t(hdr->chunkBytes)));
-    a->log_ = log::Rawl::open(log_mem);
+    a->log_ = log::Rawl::open(c, log_mem);
     if (!a->log_)
         return nullptr;
     a->redo_ = std::make_unique<log::AtomicRedo>(*a->log_);
@@ -288,7 +287,7 @@ StripedBigAlloc::stripesFor(size_t bytes)
 }
 
 std::unique_ptr<StripedBigAlloc>
-StripedBigAlloc::create(void *mem, size_t bytes)
+StripedBigAlloc::create(scm::ScmContext &c, void *mem, size_t bytes)
 {
     assert(bytes > sizeof(Header));
     const size_t n = stripesFor(bytes);
@@ -300,12 +299,11 @@ StripedBigAlloc::create(void *mem, size_t bytes)
     a->span_ = span;
     for (size_t i = 0; i < n; ++i) {
         auto s = std::make_unique<Stripe>();
-        s->alloc = BigAlloc::create(a->base_ + i * span, span);
+        s->alloc = BigAlloc::create(c, a->base_ + i * span, span);
         a->stripes_.push_back(std::move(s));
     }
 
     // Header last: a valid magic implies every stripe is formatted.
-    auto &c = scm::ctx();
     Header h{kMagic, n, span, 0};
     c.wtstore(mem, &h, sizeof(h));
     c.fence();
@@ -313,7 +311,7 @@ StripedBigAlloc::create(void *mem, size_t bytes)
 }
 
 std::unique_ptr<StripedBigAlloc>
-StripedBigAlloc::open(void *mem)
+StripedBigAlloc::open(scm::ScmContext &c, void *mem)
 {
     auto *hdr = static_cast<Header *>(mem);
     if (hdr->magic != kMagic || hdr->nStripes == 0 ||
@@ -324,7 +322,7 @@ StripedBigAlloc::open(void *mem)
     a->span_ = size_t(hdr->stripeSpan);
     for (size_t i = 0; i < size_t(hdr->nStripes); ++i) {
         auto s = std::make_unique<Stripe>();
-        s->alloc = BigAlloc::open(a->base_ + i * a->span_);
+        s->alloc = BigAlloc::open(c, a->base_ + i * a->span_);
         if (!s->alloc)
             return nullptr;
         a->stripes_.push_back(std::move(s));

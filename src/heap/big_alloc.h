@@ -45,8 +45,9 @@ class BigAlloc
 
     static size_t footprint(size_t usable_bytes);
 
-    static std::unique_ptr<BigAlloc> create(void *mem, size_t bytes);
-    static std::unique_ptr<BigAlloc> open(void *mem);
+    static std::unique_ptr<BigAlloc> create(scm::ScmContext &scm, void *mem,
+                                            size_t bytes);
+    static std::unique_ptr<BigAlloc> open(scm::ScmContext &scm, void *mem);
 
     /** Allocate at least @p size bytes; durably stores the address into
      *  @p pptr.  Returns nullptr if no chunk fits. */
@@ -115,8 +116,10 @@ class StripedBigAlloc
     /** Stripes used for an arena of @p bytes. */
     static size_t stripesFor(size_t bytes);
 
-    static std::unique_ptr<StripedBigAlloc> create(void *mem, size_t bytes);
-    static std::unique_ptr<StripedBigAlloc> open(void *mem);
+    static std::unique_ptr<StripedBigAlloc> create(scm::ScmContext &scm,
+                                                   void *mem, size_t bytes);
+    static std::unique_ptr<StripedBigAlloc> open(scm::ScmContext &scm,
+                                                 void *mem);
 
     /** Allocate at least @p size bytes; durably stores the address into
      *  @p pptr.  Returns nullptr when no stripe has a fitting chunk. */

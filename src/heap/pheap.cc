@@ -31,12 +31,13 @@ PHeap::PHeap(region::RegionLayer &rl, size_t small_bytes, size_t big_bytes,
              bool global_lock)
     : rl_(rl), globalLock_(global_lock)
 {
+    scm::ScmContext &c = rl.manager().scm();
     auto small_region = rl.findByFlags(region::kRegionHeap);
     if (small_region.addr == nullptr) {
         void *mem = rl.pmap(nullptr, small_bytes, region::kRegionHeap);
-        small_ = SuperblockHeap::create(mem, small_bytes);
+        small_ = SuperblockHeap::create(c, mem, small_bytes);
     } else {
-        small_ = SuperblockHeap::open(small_region.addr);
+        small_ = SuperblockHeap::open(c, small_region.addr);
         if (!small_)
             throw std::runtime_error("PHeap: corrupt superblock heap");
     }
@@ -47,9 +48,9 @@ PHeap::PHeap(region::RegionLayer &rl, size_t small_bytes, size_t big_bytes,
     auto big_region = rl.findByFlags(region::kRegionHeapBig);
     if (big_region.addr == nullptr) {
         void *mem = rl.pmap(nullptr, big_bytes, region::kRegionHeapBig);
-        big_ = StripedBigAlloc::create(mem, big_bytes);
+        big_ = StripedBigAlloc::create(c, mem, big_bytes);
     } else {
-        big_ = StripedBigAlloc::open(big_region.addr);
+        big_ = StripedBigAlloc::open(c, big_region.addr);
         if (!big_)
             throw std::runtime_error("PHeap: corrupt big-block heap");
     }

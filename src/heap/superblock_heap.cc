@@ -216,7 +216,7 @@ SuperblockHeap::~SuperblockHeap()
 }
 
 std::unique_ptr<SuperblockHeap>
-SuperblockHeap::create(void *mem, size_t bytes)
+SuperblockHeap::create(scm::ScmContext &c, void *mem, size_t bytes)
 {
     auto *hdr = static_cast<Header *>(mem);
     // Solve for the superblock count that fits in @p bytes.
@@ -232,7 +232,6 @@ SuperblockHeap::create(void *mem, size_t bytes)
                              kNumLogs * kRedoLogBytes,
                          kSuperblockBytes);
 
-    auto &c = scm::ctx();
     // Fresh regions are zero-filled; persist the metadata explicitly
     // anyway (sizeClass 0 == unassigned and an all-zero bitmap is
     // exactly the empty state).
@@ -244,7 +243,8 @@ SuperblockHeap::create(void *mem, size_t bytes)
     std::vector<std::unique_ptr<log::Rawl>> logs;
     for (size_t i = 0; i < kNumLogs; ++i)
         logs.push_back(
-            log::Rawl::create(logs_mem + i * kRedoLogBytes, kRedoLogBytes));
+            log::Rawl::create(c, logs_mem + i * kRedoLogBytes,
+                              kRedoLogBytes));
 
     Header h{kMagic, n, kNumLogs, 0};
     c.wtstore(hdr, &h, sizeof(h));
@@ -260,7 +260,7 @@ SuperblockHeap::create(void *mem, size_t bytes)
 }
 
 std::unique_ptr<SuperblockHeap>
-SuperblockHeap::open(void *mem)
+SuperblockHeap::open(scm::ScmContext &c, void *mem)
 {
     auto *hdr = static_cast<Header *>(mem);
     if (hdr->magic != kMagic || hdr->nLogs != kNumLogs)
@@ -276,7 +276,7 @@ SuperblockHeap::open(void *mem)
     auto heap = std::unique_ptr<SuperblockHeap>(
         new SuperblockHeap(hdr, meta, data, logs_mem));
     for (size_t i = 0; i < kNumLogs; ++i) {
-        auto log = log::Rawl::open(logs_mem + i * kRedoLogBytes);
+        auto log = log::Rawl::open(c, logs_mem + i * kRedoLogBytes);
         if (!log)
             return nullptr;
         heap->logs_.push_back(std::move(log));

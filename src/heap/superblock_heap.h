@@ -90,14 +90,16 @@ class SuperblockHeap
      *  one for the global pool). */
     static size_t footprint(size_t n_superblocks);
 
-    /** Format @p mem as an empty heap. */
-    static std::unique_ptr<SuperblockHeap> create(void *mem, size_t bytes);
+    /** Format @p mem as an empty heap whose writes go through @p scm. */
+    static std::unique_ptr<SuperblockHeap> create(scm::ScmContext &scm,
+                                                  void *mem, size_t bytes);
 
     /**
      * Recover a heap: replay any pending redo record in every log, then
      * scavenge the persistent bitmaps to rebuild the volatile indexes.
      */
-    static std::unique_ptr<SuperblockHeap> open(void *mem);
+    static std::unique_ptr<SuperblockHeap> open(scm::ScmContext &scm,
+                                                void *mem);
 
     ~SuperblockHeap();
 

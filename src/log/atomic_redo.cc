@@ -7,7 +7,7 @@ namespace mnemosyne::log {
 void
 AtomicRedo::apply(std::span<const WordWrite> writes)
 {
-    auto &c = scm::ctx();
+    auto &c = log_.scm();
 
     // Redo record: [addr, val] pairs.  The record append is atomic by
     // torn-bit construction; one fence makes it durable.
@@ -33,7 +33,7 @@ AtomicRedo::apply(std::span<const WordWrite> writes)
 size_t
 AtomicRedo::recover()
 {
-    auto &c = scm::ctx();
+    auto &c = log_.scm();
     auto cur = log_.begin();
     std::vector<uint64_t> rec;
     size_t replayed = 0;

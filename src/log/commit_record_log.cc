@@ -22,13 +22,14 @@ CommitRecordLog::maxRecordWords(size_t capacity_words)
     return capacity_words < 3 ? 0 : capacity_words - 2;
 }
 
-CommitRecordLog::CommitRecordLog(Header *hdr, uint64_t *buf, uint64_t capacity)
-    : hdr_(hdr), buf_(buf), capacity_(capacity)
+CommitRecordLog::CommitRecordLog(scm::ScmContext &scm, Header *hdr,
+                                 uint64_t *buf, uint64_t capacity)
+    : scm_(scm), hdr_(hdr), buf_(buf), capacity_(capacity)
 {
 }
 
 std::unique_ptr<CommitRecordLog>
-CommitRecordLog::create(void *mem, size_t bytes)
+CommitRecordLog::create(scm::ScmContext &c, void *mem, size_t bytes)
 {
     assert(bytes > sizeof(Header) + 4 * sizeof(uint64_t));
     auto *hdr = static_cast<Header *>(mem);
@@ -36,21 +37,21 @@ CommitRecordLog::create(void *mem, size_t bytes)
     auto *buf = reinterpret_cast<uint64_t *>(hdr + 1);
 
     Header h{kMagic, capacity, 0, 0};
-    scm::ctx().wtstore(hdr, &h, sizeof(h));
-    scm::ctx().fence();
+    c.wtstore(hdr, &h, sizeof(h));
+    c.fence();
     return std::unique_ptr<CommitRecordLog>(
-        new CommitRecordLog(hdr, buf, capacity));
+        new CommitRecordLog(c, hdr, buf, capacity));
 }
 
 std::unique_ptr<CommitRecordLog>
-CommitRecordLog::open(void *mem)
+CommitRecordLog::open(scm::ScmContext &c, void *mem)
 {
     auto *hdr = static_cast<Header *>(mem);
     if (hdr->magic != kMagic)
         return nullptr;
     auto *buf = reinterpret_cast<uint64_t *>(hdr + 1);
     auto log = std::unique_ptr<CommitRecordLog>(
-        new CommitRecordLog(hdr, buf, hdr->capacityWords));
+        new CommitRecordLog(c, hdr, buf, hdr->capacityWords));
     // Validity is bounded by the durably committed tail: anything past
     // commitAbs never committed and is simply ignored.
     log->headShadow_.store(hdr->headAbs, std::memory_order_release);
@@ -76,16 +77,15 @@ CommitRecordLog::tryAppend(const uint64_t *words, size_t n)
             (tail_ - headShadow_.load(std::memory_order_acquire)))
         return false;
 
-    auto &c = scm::ctx();
     uint64_t hdr_word = uint64_t(n);
-    c.wtstore(&buf_[tail_ % capacity_], &hdr_word, sizeof(hdr_word));
+    scm_.wtstore(&buf_[tail_ % capacity_], &hdr_word, sizeof(hdr_word));
     ++tail_;
     // Stream the payload verbatim in physically contiguous chunks.
     size_t done = 0;
     while (done < n) {
         const uint64_t slot = tail_ % capacity_;
         const size_t run = std::min(n - done, size_t(capacity_ - slot));
-        c.wtstore(&buf_[slot], words + done, run * sizeof(uint64_t));
+        scm_.wtstore(&buf_[slot], words + done, run * sizeof(uint64_t));
         done += run;
         tail_ += run;
     }
@@ -104,10 +104,9 @@ CommitRecordLog::append(const uint64_t *words, size_t n)
 void
 CommitRecordLog::flush()
 {
-    auto &c = scm::ctx();
-    c.fence();                              // data writes complete
-    c.wtstoreT(&hdr_->commitAbs, tail_);    // commit record
-    c.fence();                              // commit record complete
+    scm_.fence();                           // data writes complete
+    scm_.wtstoreT(&hdr_->commitAbs, tail_); // commit record
+    scm_.fence();                           // commit record complete
     tailShadow_.store(tail_, std::memory_order_release);
 }
 
@@ -137,10 +136,9 @@ CommitRecordLog::readRecord(Cursor &c, std::vector<uint64_t> &out) const
 void
 CommitRecordLog::consumeTo(Cursor c, bool do_fence)
 {
-    auto &ctx = scm::ctx();
-    ctx.wtstoreT(&hdr_->headAbs, c.pos);
+    scm_.wtstoreT(&hdr_->headAbs, c.pos);
     if (do_fence)
-        ctx.fence();
+        scm_.fence();
     headShadow_.store(c.pos, std::memory_order_release);
 }
 

@@ -20,6 +20,10 @@
 #include <memory>
 #include <vector>
 
+namespace mnemosyne::scm {
+class ScmContext;
+}
+
 namespace mnemosyne::log {
 
 class CommitRecordLog
@@ -37,8 +41,10 @@ class CommitRecordLog
     static size_t footprint(size_t capacity_words);
     static size_t maxRecordWords(size_t capacity_words);
 
-    static std::unique_ptr<CommitRecordLog> create(void *mem, size_t bytes);
-    static std::unique_ptr<CommitRecordLog> open(void *mem);
+    static std::unique_ptr<CommitRecordLog> create(scm::ScmContext &scm,
+                                                   void *mem, size_t bytes);
+    static std::unique_ptr<CommitRecordLog> open(scm::ScmContext &scm,
+                                                 void *mem);
 
     /** Append @p n payload words (not durable until flush()). */
     void append(const uint64_t *words, size_t n);
@@ -63,8 +69,10 @@ class CommitRecordLog
     bool empty() const { return headAbs() == tailAbs(); }
 
   private:
-    CommitRecordLog(Header *hdr, uint64_t *buf, uint64_t capacity);
+    CommitRecordLog(scm::ScmContext &scm, Header *hdr, uint64_t *buf,
+                    uint64_t capacity);
 
+    scm::ScmContext &scm_;
     Header *hdr_;
     uint64_t *buf_;
     uint64_t capacity_;

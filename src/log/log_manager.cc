@@ -38,15 +38,17 @@ LogManager::footprint(size_t nslots, size_t slot_bytes)
            nslots * slot_bytes;
 }
 
-LogManager::LogManager(Header *hdr, SlotState *states, uint8_t *slots_base)
-    : hdr_(hdr), states_(states), slotsBase_(slots_base)
+LogManager::LogManager(scm::ScmContext &scm, Header *hdr, SlotState *states,
+                       uint8_t *slots_base)
+    : scm_(scm), hdr_(hdr), states_(states), slotsBase_(slots_base)
 {
     logs_.resize(size_t(hdr_->nslots));
     nShards_ = std::min(kNumShards, logs_.size() ? logs_.size() : size_t(1));
 }
 
 std::unique_ptr<LogManager>
-LogManager::create(void *mem, size_t bytes, size_t nslots, size_t slot_bytes)
+LogManager::create(scm::ScmContext &c, void *mem, size_t bytes,
+                   size_t nslots, size_t slot_bytes)
 {
     assert(bytes >= footprint(nslots, slot_bytes));
     (void)bytes;
@@ -55,17 +57,16 @@ LogManager::create(void *mem, size_t bytes, size_t nslots, size_t slot_bytes)
     auto *base = static_cast<uint8_t *>(mem) +
                  alignUp(sizeof(Header) + nslots * sizeof(SlotState), 64);
 
-    auto &c = scm::ctx();
     std::vector<SlotState> zero(nslots, SlotState{0, 0});
     c.wtstore(states, zero.data(), nslots * sizeof(SlotState));
     Header h{kMagic, nslots, slot_bytes, 0};
     c.wtstore(hdr, &h, sizeof(h));
     c.fence();
-    return std::unique_ptr<LogManager>(new LogManager(hdr, states, base));
+    return std::unique_ptr<LogManager>(new LogManager(c, hdr, states, base));
 }
 
 std::unique_ptr<LogManager>
-LogManager::open(void *mem)
+LogManager::open(scm::ScmContext &c, void *mem)
 {
     auto *hdr = static_cast<Header *>(mem);
     if (hdr->magic != kMagic)
@@ -74,18 +75,19 @@ LogManager::open(void *mem)
     auto *base = static_cast<uint8_t *>(mem) +
                  alignUp(sizeof(Header) + size_t(hdr->nslots) *
                          sizeof(SlotState), 64);
-    auto lm = std::unique_ptr<LogManager>(new LogManager(hdr, states, base));
+    auto lm =
+        std::unique_ptr<LogManager>(new LogManager(c, hdr, states, base));
     for (size_t i = 0; i < lm->nslots(); ++i) {
         if (states[i].active) {
-            auto log = Rawl::open(lm->slotMem(i));
+            auto log = Rawl::open(c, lm->slotMem(i));
             // A slot marked active whose log was never formatted (crash
             // between the slot flag and the log header) is reclaimed.
             if (log) {
                 log->setSlotId(i);
                 lm->logs_[i] = std::move(log);
             } else {
-                scm::ctx().wtstoreT(&states[i].active, uint64_t(0));
-                scm::ctx().fence();
+                c.wtstoreT(&states[i].active, uint64_t(0));
+                c.fence();
             }
         }
     }
@@ -101,12 +103,11 @@ LogManager::acquireInShard(size_t shard, uint64_t owner_hint)
             continue;
         // Format the log first, then durably flip the slot flag: a crash
         // in between leaves an inactive, formatted slot — harmless.
-        logs_[i] = Rawl::create(slotMem(i), slotBytes());
+        logs_[i] = Rawl::create(scm_, slotMem(i), slotBytes());
         logs_[i]->setSlotId(i);
-        auto &c = scm::ctx();
-        c.wtstoreT(&states_[i].ownerHint, owner_hint);
-        c.wtstoreT(&states_[i].active, uint64_t(1));
-        c.fence();
+        scm_.wtstoreT(&states_[i].ownerHint, owner_hint);
+        scm_.wtstoreT(&states_[i].active, uint64_t(1));
+        scm_.fence();
         ctrs().acquires.add(1);
         return logs_[i].get();
     }
@@ -136,9 +137,8 @@ LogManager::release(Rawl *log)
             if (logs_[i].get() != log)
                 continue;
             log->truncateAll();
-            auto &c = scm::ctx();
-            c.wtstoreT(&states_[i].active, uint64_t(0));
-            c.fence();
+            scm_.wtstoreT(&states_[i].active, uint64_t(0));
+            scm_.fence();
             logs_[i].reset();
             ctrs().releases.add(1);
             return;

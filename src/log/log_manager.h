@@ -50,12 +50,15 @@ class LogManager
 
     static size_t footprint(size_t nslots, size_t slot_bytes);
 
-    static std::unique_ptr<LogManager> create(void *mem, size_t bytes,
+    /** Format @p mem; the manager and every log it hands out write
+     *  through @p scm. */
+    static std::unique_ptr<LogManager> create(scm::ScmContext &scm,
+                                              void *mem, size_t bytes,
                                               size_t nslots,
                                               size_t slot_bytes);
 
     /** Recover: re-open every active slot's log (torn-bit scan inside). */
-    static std::unique_ptr<LogManager> open(void *mem);
+    static std::unique_ptr<LogManager> open(scm::ScmContext &scm, void *mem);
 
     /** Durably claim a free slot and return its (fresh) log.  The
      *  search starts in the shard keyed by @p owner_hint, so threads
@@ -69,6 +72,9 @@ class LogManager
      *  Holds one shard lock at a time while calling @p fn. */
     void forEachActive(const std::function<void(size_t slot, Rawl &)> &fn);
 
+    /** The emulator the manager and its logs write through. */
+    scm::ScmContext &scm() const { return scm_; }
+
     size_t nslots() const { return size_t(hdr_->nslots); }
     size_t slotBytes() const { return size_t(hdr_->slotBytes); }
     size_t activeCount() const;
@@ -76,7 +82,8 @@ class LogManager
     static constexpr size_t kNumShards = 4;
 
   private:
-    LogManager(Header *hdr, SlotState *states, uint8_t *slots_base);
+    LogManager(scm::ScmContext &scm, Header *hdr, SlotState *states,
+               uint8_t *slots_base);
 
     void *slotMem(size_t i) const { return slotsBase_ + i * hdr_->slotBytes; }
 
@@ -84,6 +91,7 @@ class LogManager
      *  is exhausted.  Takes the shard lock inside. */
     Rawl *acquireInShard(size_t shard, uint64_t owner_hint);
 
+    scm::ScmContext &scm_;
     Header *hdr_;
     SlotState *states_;
     uint8_t *slotsBase_;

@@ -54,20 +54,26 @@ Rawl::maxRecordWords(size_t capacity_words)
     return usable * 63 / 64;
 }
 
-Rawl::Rawl(Header *hdr, uint64_t *buf, uint64_t capacity)
-    : hdr_(hdr), buf_(buf), capacity_(capacity)
+Rawl::Rawl(scm::ScmContext &scm, Header *hdr, uint64_t *buf,
+           uint64_t capacity)
+    : scm_(scm), hdr_(hdr), buf_(buf), capacity_(capacity)
 {
 }
 
 std::unique_ptr<Rawl>
 Rawl::create(void *mem, size_t bytes)
 {
+    return create(scm::ctx(), mem, bytes);
+}
+
+std::unique_ptr<Rawl>
+Rawl::create(scm::ScmContext &c, void *mem, size_t bytes)
+{
     assert(bytes > sizeof(Header) + 4 * sizeof(uint64_t));
     auto *hdr = static_cast<Header *>(mem);
     const uint64_t capacity = (bytes - sizeof(Header)) / sizeof(uint64_t);
     auto *buf = reinterpret_cast<uint64_t *>(hdr + 1);
 
-    auto &c = scm::ctx();
     // Zero words carry torn bit 0, which is invalid for the first pass
     // (expected parity 1): the whole buffer starts out as filler.
     std::vector<uint64_t> zeros(std::min<uint64_t>(capacity, 8192), 0);
@@ -79,8 +85,7 @@ Rawl::create(void *mem, size_t bytes)
     c.wtstore(hdr, &h, sizeof(h));
     c.fence();
 
-    auto log = std::unique_ptr<Rawl>(new Rawl(hdr, buf, capacity));
-    return log;
+    return std::unique_ptr<Rawl>(new Rawl(c, hdr, buf, capacity));
 }
 
 bool
@@ -97,14 +102,14 @@ Rawl::payloadAt(uint64_t abs_pos) const
 }
 
 std::unique_ptr<Rawl>
-Rawl::open(void *mem)
+Rawl::open(scm::ScmContext &c, void *mem)
 {
     auto *hdr = static_cast<Header *>(mem);
     if (hdr->magic != kMagic)
         return nullptr;
     const uint64_t capacity = hdr->capacityWords;
     auto *buf = reinterpret_cast<uint64_t *>(hdr + 1);
-    auto log = std::unique_ptr<Rawl>(new Rawl(hdr, buf, capacity));
+    auto log = std::unique_ptr<Rawl>(new Rawl(c, hdr, buf, capacity));
 
     const uint64_t head = hdr->headAbs;
     // Torn-bit scan: accept words while the torn bit matches the pass
@@ -139,7 +144,6 @@ Rawl::open(void *mem)
 void
 Rawl::fillInvalid(uint64_t from_abs, uint64_t to_abs)
 {
-    auto &c = scm::ctx();
     std::vector<uint64_t> chunk;
     uint64_t p = from_abs;
     while (p < to_abs) {
@@ -151,10 +155,11 @@ Rawl::fillInvalid(uint64_t from_abs, uint64_t to_abs)
             std::min({to_abs - p, run_physical, run_parity, uint64_t(8192)});
         const uint64_t filler = (parityAt(p) ^ 1) << 63;
         chunk.assign(size_t(run), filler);
-        c.wtstore(&buf_[slot], chunk.data(), size_t(run) * sizeof(uint64_t));
+        scm_.wtstore(&buf_[slot], chunk.data(),
+                     size_t(run) * sizeof(uint64_t));
         p += run;
     }
-    c.fence();
+    scm_.fence();
 }
 
 size_t
@@ -208,18 +213,17 @@ Rawl::tryAppend(const uint64_t *words, size_t n)
     // behalf, and shared flush claims let the combiner's single fence
     // retire them — a wtstore stream would only retire under the
     // producer's OWN fence, which epoch mode never issues.
-    auto &c = scm::ctx();
     size_t done = 0;
     while (done < stage_.size()) {
         const uint64_t slot = (tail_ + done) % capacity_;
         const size_t run =
             std::min(stage_.size() - done, size_t(capacity_ - slot));
         if (cachedAppends_)
-            c.store(&buf_[slot], stage_.data() + done,
-                    run * sizeof(uint64_t));
+            scm_.store(&buf_[slot], stage_.data() + done,
+                       run * sizeof(uint64_t));
         else
-            c.wtstore(&buf_[slot], stage_.data() + done,
-                      run * sizeof(uint64_t));
+            scm_.wtstore(&buf_[slot], stage_.data() + done,
+                         run * sizeof(uint64_t));
         done += run;
     }
     const uint64_t old_tail = tail_;
@@ -268,7 +272,7 @@ Rawl::append(const uint64_t *words, size_t n)
 void
 Rawl::flush()
 {
-    scm::ctx().fence();
+    scm_.fence();
     flushedShadow_.store(tail_, std::memory_order_release);
     ctrs().flushes.add(1);
 }
@@ -351,10 +355,9 @@ Rawl::readRecord(Cursor &c, std::vector<uint64_t> &out) const
 void
 Rawl::consumeTo(Cursor c, bool do_fence)
 {
-    auto &ctx = scm::ctx();
-    ctx.wtstoreT(&hdr_->headAbs, c.pos);
+    scm_.wtstoreT(&hdr_->headAbs, c.pos);
     if (do_fence)
-        ctx.fence();
+        scm_.fence();
     headShadow_.store(c.pos, std::memory_order_release);
     ctrs().truncations.add(1);
 }

@@ -38,6 +38,10 @@
 #include <memory>
 #include <vector>
 
+namespace mnemosyne::scm {
+class ScmContext;
+}
+
 namespace mnemosyne::log {
 
 /** Thrown when an append cannot fit even in an empty log. */
@@ -66,7 +70,17 @@ class Rawl
      *  can hold. */
     static size_t maxRecordWords(size_t capacity_words);
 
-    /** Format @p bytes of persistent memory at @p mem as an empty log. */
+    /** Format @p bytes of persistent memory at @p mem as an empty log
+     *  whose writes go through @p scm. */
+    static std::unique_ptr<Rawl> create(scm::ScmContext &scm, void *mem,
+                                        size_t bytes);
+
+    /**
+     * create() on the published context (scm::ctx).  Kept for the
+     * repository benchmark's log probe (mnbench/probes.cc), which
+     * publishes its emulator and predates the explicit form; library
+     * code always names its context.
+     */
     static std::unique_ptr<Rawl> create(void *mem, size_t bytes);
 
     /**
@@ -74,7 +88,7 @@ class Rawl
      * torn-bit scan, drop any trailing partial append, and restore the
      * free-region filler invariant.
      */
-    static std::unique_ptr<Rawl> open(void *mem);
+    static std::unique_ptr<Rawl> open(scm::ScmContext &scm, void *mem);
 
     // -- producer side ----------------------------------------------------
 
@@ -172,8 +186,12 @@ class Rawl
     size_t freeWords() const;
     bool empty() const { return headAbs() == tailAbs(); }
 
+    /** The emulator this log writes through. */
+    scm::ScmContext &scm() const { return scm_; }
+
   private:
-    Rawl(Header *hdr, uint64_t *buf, uint64_t capacity);
+    Rawl(scm::ScmContext &scm, Header *hdr, uint64_t *buf,
+         uint64_t capacity);
 
     /** Torn-bit value expected at absolute position @p abs_pos. */
     uint64_t
@@ -189,6 +207,7 @@ class Rawl
     bool wordValidAt(uint64_t abs_pos) const;
     uint64_t payloadAt(uint64_t abs_pos) const;
 
+    scm::ScmContext &scm_;
     Header *hdr_;
     uint64_t *buf_;
     uint64_t capacity_;

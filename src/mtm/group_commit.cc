@@ -190,7 +190,7 @@ EpochCombiner::combineRound(std::unique_lock<std::mutex> &g)
 
     uint64_t marker_end = 0;
     try {
-        auto &c = scm::ctx();
+        auto &c = markerLog_->scm();
 
         // 1. Epoch marker: [kTagEpoch, e, n, (slot, to_abs, ts) x n],
         //    streamed (wtstore) into the dedicated marker log — OUR

@@ -176,7 +176,7 @@ recoverTransactions(log::LogManager &logs, uintptr_t va_base)
                   return a.ts < b.ts;
               });
 
-    auto &c = scm::ctx();
+    auto &c = logs.scm();
     for (const auto &txn : committed) {
         for (const auto &[addr, val] : txn.writes) {
             uint64_t v = val;

@@ -39,8 +39,8 @@ tctrs()
 
 } // namespace
 
-TruncationThread::TruncationThread()
-    : parentCtx_(&scm::ctx()), worker_([this] { run(); })
+TruncationThread::TruncationThread(scm::ScmContext &scm)
+    : scm_(scm), worker_([this] { run(); })
 {
 }
 
@@ -110,7 +110,6 @@ TruncationThread::backlog() const
 void
 TruncationThread::run()
 {
-    scm::setThreadCtx(parentCtx_);
     obs::setCurrentThreadName("async-trunc");
     std::vector<Task> batch;
     std::vector<log::Rawl *> consumed_logs;
@@ -159,7 +158,7 @@ TruncationThread::run()
             // last task per log carries the furthest position).
             try {
                 const uint64_t t0 = obs::enabled() ? obs::nowNs() : 0;
-                auto &c = scm::ctx();
+                auto &c = scm_;
                 // Cross-transaction dedup: merge every task's dirty word
                 // set and flush each distinct line ONCE per batch.
                 // Correct under every persist mode because the truncator

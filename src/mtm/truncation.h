@@ -59,8 +59,9 @@ class TruncationThread
         uint64_t epoch = 0;
     };
 
-    /** Starts the worker thread. */
-    TruncationThread();
+    /** Starts the worker thread, which flushes and fences through
+     *  @p scm — the emulator of the runtime that owns this truncator. */
+    explicit TruncationThread(scm::ScmContext &scm);
     ~TruncationThread();
 
     /** Install the combiner the worker polls for epoch retirement
@@ -104,13 +105,10 @@ class TruncationThread
 
     void run();
 
-    /**
-     * The SCM context of the thread that created this truncator,
-     * installed as the worker thread's context override.  A sweep
-     * worker's runtime (and its truncation thread) must write through
-     * that worker's private emulator, not the process-wide one.
-     */
-    scm::ScmContext *parentCtx_;
+    /** The emulator the worker flushes and fences through.  Kept
+     *  first and pointer-sized: kv_single throughput shifts when the
+     *  shared fields behind it move to other cache-line offsets. */
+    scm::ScmContext &scm_;
 
     std::atomic<EpochCombiner *> combiner_{nullptr};
 

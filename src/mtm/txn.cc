@@ -504,7 +504,7 @@ Txn::commit()
     }
 
     if (!deferred) {
-        auto &c = scm::ctx();
+        auto &c = log_->scm();
         {
             // Write back the new values in place (lazy version
             // management), then release the locks at the commit

@@ -105,15 +105,16 @@ threadLeases()
 TxnManager::TxnManager(region::RegionLayer &rl, TxnConfig cfg)
     : rl_(rl), cfg_(cfg), locks_(cfg.lock_bits), mgrId_(nextMgrId())
 {
+    scm::ScmContext &c = rl.manager().scm();
     const size_t need =
         log::LogManager::footprint(cfg_.log_slots, cfg_.log_slot_bytes);
     auto log_region = rl.findByFlags(region::kRegionLog);
     if (log_region.addr == nullptr) {
         void *mem = rl.pmap(nullptr, need, region::kRegionLog);
-        logs_ = log::LogManager::create(mem, need, cfg_.log_slots,
+        logs_ = log::LogManager::create(c, mem, need, cfg_.log_slots,
                                         cfg_.log_slot_bytes);
     } else {
-        logs_ = log::LogManager::open(log_region.addr);
+        logs_ = log::LogManager::open(c, log_region.addr);
         if (!logs_)
             throw std::runtime_error("TxnManager: corrupt log region");
         // Replay all completed but not flushed transactions (the
@@ -131,7 +132,7 @@ TxnManager::TxnManager(region::RegionLayer &rl, TxnConfig cfg)
             logs_->release(log);
     }
     if (cfg_.truncation == Truncation::kAsync || cfg_.group_commit)
-        truncator_ = std::make_unique<TruncationThread>();
+        truncator_ = std::make_unique<TruncationThread>(c);
     if (cfg_.group_commit) {
         // The marker log is an ordinary slot; it stays on streaming
         // appends (the combiner fences its own marker stream).  It is

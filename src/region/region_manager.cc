@@ -42,7 +42,8 @@ residentKey(uint64_t file_id, uint64_t page_off)
 
 } // namespace
 
-RegionManager::RegionManager(RegionConfig cfg) : cfg_(std::move(cfg))
+RegionManager::RegionManager(scm::ScmContext &scm, RegionConfig cfg)
+    : scm_(scm), cfg_(std::move(cfg))
 {
     if (const char *env = std::getenv("MNEMOSYNE_REGION_PATH"))
         cfg_.backing_dir = env;
@@ -127,7 +128,7 @@ RegionManager::openMetadata()
     if (!existed || hdr->magic != kMetaMagic) {
         std::memset(meta, 0, metaBytes_);
         MetaHeader h{kMetaMagic, nFrames_, nFileNames_, 0};
-        auto &c = scm::ctx();
+        auto &c = scm_;
         c.wtstore(hdr, &h, sizeof(h));
         c.fence();
         c.persistAll();
@@ -199,7 +200,7 @@ RegionManager::internFileName(const std::string &name)
     FileNameEntry e{};
     std::strncpy(e.name, name.c_str(), sizeof(e.name) - 1);
     e.used = 1;
-    auto &c = scm::ctx();
+    auto &c = scm_;
     c.wtstore(&fileNames_[free_slot], &e, sizeof(e));
     c.fence();
     return free_slot;
@@ -225,7 +226,7 @@ RegionManager::allocFrame(uint64_t file_id, uint64_t page_off)
     freeFrames_.pop_back();
 
     MapEntry e{1, file_id, page_off};
-    scm::ctx().wtstore(&mapTable_[f], &e, sizeof(e));
+    scm_.wtstore(&mapTable_[f], &e, sizeof(e));
     descriptors_[f] = {file_id, page_off};
     residentIndex_[residentKey(file_id, page_off)] = f;
     lru_.push_back(f);
@@ -256,7 +257,7 @@ RegionManager::evictOne()
         break;
     }
     MapEntry e{0, 0, 0};
-    scm::ctx().wtstore(&mapTable_[f], &e, sizeof(e));
+    scm_.wtstore(&mapTable_[f], &e, sizeof(e));
     descriptors_.erase(f);
     residentIndex_.erase(residentKey(file_id, page_off));
     freeFrames_.push_back(f);
@@ -264,22 +265,13 @@ RegionManager::evictOne()
 }
 
 void
-RegionManager::makeResident(Mapping &m, uintptr_t page_addr, bool initial)
+RegionManager::makeResident(Mapping &m, uintptr_t page_addr)
 {
     const uint64_t page_off = (page_addr - m.addr) / kPageSize;
-    const uint64_t key = residentKey(m.fileId, page_off);
-    auto it = residentIndex_.find(key);
-    if (it != residentIndex_.end()) {
+    if (residentIndex_.count(residentKey(m.fileId, page_off))) {
         // Already in SCM: a soft fault that only updates the page table
         // without copying data from the backing file (section 4.2).
         ++stats_.soft_faults;
-        if (!initial) {
-            auto pos = lruPos_.find(it->second);
-            if (pos != lruPos_.end()) {
-                lru_.splice(lru_.end(), lru_, pos->second);
-                lruPos_[it->second] = std::prev(lru_.end());
-            }
-        }
         return;
     }
     ++stats_.faults;
@@ -321,8 +313,8 @@ RegionManager::mapFile(const std::string &file_name, size_t length,
     // Fault the region into the SCM zone.
     Mapping &m = mappings_.back();
     for (uintptr_t p = fixed_addr; p < fixed_addr + length; p += kPageSize)
-        makeResident(m, p, true);
-    scm::ctx().fence();
+        makeResident(m, p);
+    scm_.fence();
     stats_.frames_resident = residentIndex_.size();
     {
         static obs::Counter maps{"region.maps"};
@@ -332,24 +324,13 @@ RegionManager::mapFile(const std::string &file_name, size_t length,
 }
 
 void
-RegionManager::touchPage(uintptr_t page_addr)
-{
-    std::lock_guard<std::mutex> g(mu_);
-    Mapping *m = findMapping(page_addr);
-    if (!m)
-        return;
-    makeResident(*m, page_addr & ~(uintptr_t(kPageSize) - 1), false);
-    stats_.frames_resident = residentIndex_.size();
-}
-
-void
 RegionManager::evictRange(uintptr_t addr, size_t length)
 {
     std::lock_guard<std::mutex> g(mu_);
     Mapping *m = findMapping(addr);
     if (!m)
         return;
-    auto &c = scm::ctx();
+    auto &c = scm_;
     for (uintptr_t p = addr; p < addr + length; p += kPageSize) {
         const uint64_t page_off = (p - m->addr) / kPageSize;
         auto it = residentIndex_.find(residentKey(m->fileId, page_off));

@@ -71,6 +71,10 @@
 #define MNEMOSYNE_TSAN_ACTIVE 0
 #endif
 
+namespace mnemosyne::scm {
+class ScmContext;
+}
+
 namespace mnemosyne::region {
 
 inline constexpr size_t kPageSize = 4096;
@@ -104,12 +108,13 @@ struct ZoneStats {
 };
 
 /**
- * Simulated kernel region manager.  Thread-safe.
+ * Simulated kernel region manager.  Thread-safe.  Built on one SCM
+ * emulator, which every layer above reaches through scm().
  */
 class RegionManager
 {
   public:
-    explicit RegionManager(RegionConfig cfg = {});
+    explicit RegionManager(scm::ScmContext &scm, RegionConfig cfg = {});
     ~RegionManager();
 
     RegionManager(const RegionManager &) = delete;
@@ -132,9 +137,6 @@ class RegionManager
     void destroyFile(const std::string &file_name, uintptr_t addr,
                      size_t length);
 
-    /** Fault one page into the SCM zone, evicting if over budget. */
-    void touchPage(uintptr_t page_addr);
-
     /** Evict every resident page of [addr, addr+len) to its file. */
     void evictRange(uintptr_t addr, size_t length);
 
@@ -152,6 +154,7 @@ class RegionManager
     ZoneStats zoneStats() const;
 
     const RegionConfig &config() const { return cfg_; }
+    scm::ScmContext &scm() const { return scm_; }
     std::string backingPath(const std::string &file_name) const;
 
     uintptr_t vaBase() const { return cfg_.va_base; }
@@ -188,8 +191,9 @@ class RegionManager
     size_t allocFrame(uint64_t file_id, uint64_t page_off);
     void evictOne();
     Mapping *findMapping(uintptr_t addr);
-    void makeResident(Mapping &m, uintptr_t page_addr, bool initial);
+    void makeResident(Mapping &m, uintptr_t page_addr);
 
+    scm::ScmContext &scm_;
     RegionConfig cfg_;
     mutable std::mutex mu_;
 

@@ -95,7 +95,7 @@ RegionLayer::~RegionLayer()
 void
 RegionLayer::formatStaticRegion(size_t static_bytes)
 {
-    auto &c = scm::ctx();
+    auto &c = mgr_.scm();
     // The backing file is fresh (zero); only the header words need
     // explicit initialization.
     StaticHeader h{};
@@ -137,7 +137,7 @@ RegionLayer::reconcileSlot(RegionEntry &e, bool expect_mapped)
     // along with the data it pointed to.
     if (e.slotAddr == 0 || !mappedNow(e.slotAddr))
         return;
-    auto &c = scm::ctx();
+    auto &c = mgr_.scm();
     auto **slot = reinterpret_cast<void **>(e.slotAddr);
     auto *region_addr = reinterpret_cast<void *>(e.addr);
     if (expect_mapped) {
@@ -161,7 +161,7 @@ RegionLayer::reconcileSlot(RegionEntry &e, bool expect_mapped)
 void
 RegionLayer::recoverRegions()
 {
-    auto &c = scm::ctx();
+    auto &c = mgr_.scm();
     // Pass 1: re-map every valid region, so client pointer cells that
     // live inside dynamic regions are addressable during pass 2.
     for (size_t i = 0; i < std::size(hdr_->table); ++i) {
@@ -203,7 +203,7 @@ RegionLayer::pmap(void **persistent_slot, size_t len, uint64_t flags)
 {
     std::lock_guard<std::mutex> g(mu_);
     len = alignUp(len, kPageSize);
-    auto &c = scm::ctx();
+    auto &c = mgr_.scm();
 
     size_t slot = std::size(hdr_->table);
     for (size_t i = 0; i < std::size(hdr_->table); ++i) {
@@ -252,7 +252,7 @@ void
 RegionLayer::punmap(void *addr, size_t len)
 {
     std::lock_guard<std::mutex> g(mu_);
-    auto &c = scm::ctx();
+    auto &c = mgr_.scm();
     for (size_t i = 0; i < std::size(hdr_->table); ++i) {
         RegionEntry &e = hdr_->table[i];
         if (e.state == 2 && e.addr == reinterpret_cast<uintptr_t>(addr)) {
@@ -287,7 +287,7 @@ RegionLayer::pstaticVar(const std::string &name, size_t size,
 {
     std::lock_guard<std::mutex> g(mu_);
     assert(name.size() < sizeof(PVarEntry::name));
-    auto &c = scm::ctx();
+    auto &c = mgr_.scm();
 
     size_t free_slot = std::size(hdr_->vars);
     for (size_t i = 0; i < std::size(hdr_->vars); ++i) {

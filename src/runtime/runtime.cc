@@ -24,15 +24,17 @@ using clk = std::chrono::steady_clock;
 
 Runtime::Runtime(RuntimeConfig cfg) : id_(nextRuntimeId()), cfg_(cfg)
 {
-    if (!cfg_.use_current_scm_context) {
+    scm::ScmContext *c = cfg_.scm_context;
+    if (!c) {
         ownedScm_ = std::make_unique<scm::ScmContext>(cfg_.scm);
-        scm::setCtx(ownedScm_.get());
+        c = ownedScm_.get();
+        scm::setCtx(c);
     }
 
     // 1. Reconstruct persistent regions: mapping-table scan (simulated
     //    OS boot) happens inside the region manager's constructor...
     auto t0 = clk::now();
-    mgr_ = std::make_unique<region::RegionManager>(cfg_.region);
+    mgr_ = std::make_unique<region::RegionManager>(*c, cfg_.region);
     auto t1 = clk::now();
     reinc_.region_reconstruct = t1 - t0;
 
@@ -101,12 +103,10 @@ Runtime::~Runtime()
         region::setCurrentRegionLayer(nullptr);
     regions_.reset();
     mgr_.reset();
-    if (ownedScm_) {
-        // Clean shutdown: everything reaches SCM.
+    // Clean shutdown: everything reaches SCM.  The owned context
+    // unpublishes itself when it is destroyed.
+    if (ownedScm_)
         ownedScm_->persistAll();
-        if (&scm::ctx() == ownedScm_.get())
-            scm::setCtx(nullptr);
-    }
 }
 
 size_t

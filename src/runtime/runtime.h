@@ -54,11 +54,13 @@ struct RuntimeConfig {
     mtm::TxnConfig txn;
 
     /**
-     * Use the process-wide SCM context instead of creating a private
-     * one.  Tests that inject crashes install their own context and set
-     * this.
+     * The SCM emulator every layer writes through.  Null (the default):
+     * the runtime creates a private context from `scm` and publishes it
+     * (scm::ctx), so the "scm.*" stats keys report it.  Non-null: the
+     * runtime borrows this context, which must outlive it, and publishes
+     * nothing — tests and crash-sweep trials pass their own emulator.
      */
-    bool use_current_scm_context = false;
+    scm::ScmContext *scm_context = nullptr;
 };
 
 /** Timings of the reincarnation steps, for the section 6.3.2 study. */
@@ -81,6 +83,10 @@ class Runtime
     Runtime &operator=(const Runtime &) = delete;
 
     // -- persistence primitives & regions ---------------------------------
+
+    /** The SCM emulator this runtime's layers write through; data
+     *  structures issue their raw persistence primitives on it. */
+    scm::ScmContext &scm() { return mgr_->scm(); }
 
     region::RegionLayer &regions() { return *regions_; }
     region::RegionManager &regionManager() { return *mgr_; }

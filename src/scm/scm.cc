@@ -11,7 +11,6 @@ namespace mnemosyne::scm {
 namespace {
 
 std::atomic<ScmContext *> gCurrent{nullptr};
-thread_local ScmContext *tCurrent = nullptr;
 
 ScmContext &
 defaultCtx()
@@ -62,8 +61,6 @@ deviceCopy(void *dst, const void *src, size_t len)
 ScmContext &
 ctx()
 {
-    if (tCurrent)
-        return *tCurrent;
     ScmContext *c = gCurrent.load(std::memory_order_acquire);
     return c ? *c : defaultCtx();
 }
@@ -72,18 +69,6 @@ void
 setCtx(ScmContext *c)
 {
     gCurrent.store(c, std::memory_order_release);
-}
-
-ScmContext *
-threadCtx()
-{
-    return tCurrent;
-}
-
-void
-setThreadCtx(ScmContext *c)
-{
-    tCurrent = c;
 }
 
 const char *
@@ -102,9 +87,8 @@ eventName(ScmContext::Event ev)
 ScmContext::ScmContext(ScmConfig cfg) : cfg_(cfg), id_(nextCtxId())
 {
     // Emit this context's primitive counts under "scm.*" whenever it is
-    // the context the free-function primitives resolve to.  Contexts
-    // that are alive but not current emit nothing, so one snapshot
-    // never mixes two emulators.
+    // the published context.  Contexts that are alive but not published
+    // emit nothing, so one snapshot never mixes two emulators.
     statsSourceToken_ =
         obs::StatsRegistry::instance().addSource([this](obs::Sink &sink) {
             if (&ctx() != this)
@@ -122,11 +106,11 @@ ScmContext::ScmContext(ScmConfig cfg) : cfg_(cfg), id_(nextCtxId())
 
 ScmContext::~ScmContext()
 {
+    // Unpublish first, so no lookup returns a context being destroyed.
+    ScmContext *self = this;
+    gCurrent.compare_exchange_strong(self, nullptr,
+                                     std::memory_order_acq_rel);
     obs::StatsRegistry::instance().removeSource(statsSourceToken_);
-    if (tCurrent == this)
-        tCurrent = nullptr;
-    if (gCurrent.load(std::memory_order_acquire) == this)
-        setCtx(nullptr);
 }
 
 ScmContext::ThreadScm &
@@ -586,18 +570,6 @@ ScmContext::statsSnapshot() const
     s.bytes_stored = bytesStored_.sum();
     s.delay_ns = account_.totalNs();
     return s;
-}
-
-void
-ScmContext::resetStats()
-{
-    nStores_.reset();
-    nWtStores_.reset();
-    nFlushes_.reset();
-    nFences_.reset();
-    bytesStreamed_.reset();
-    bytesStored_.reset();
-    account_.reset();
 }
 
 } // namespace mnemosyne::scm

@@ -140,8 +140,10 @@ struct CrashNow {
 /**
  * The SCM emulator: persistence primitives, latency model, failure model.
  *
- * Thread-safe.  One context is typically installed process-wide via
- * setCtx(); tests construct private contexts.
+ * Thread-safe.  Every layer is built on one context and keeps a
+ * reference to it: a Runtime owns (or borrows) its context and hands it
+ * down, so each thread's stores reach that runtime's emulator.  Tests
+ * and crash-sweep trials construct private contexts.
  */
 class ScmContext
 {
@@ -249,13 +251,9 @@ class ScmContext
     uint64_t eventCount() const { return eventNo_.load(std::memory_order_relaxed); }
 
     ScmStats statsSnapshot() const;
-    void resetStats();
 
     const ScmConfig &config() const { return cfg_; }
 
-    /** Adjust the PCM write latency (used by the sensitivity study). */
-    void setWriteLatency(uint64_t ns) { cfg_.write_latency_ns = ns; }
-    void setLatencyMode(LatencyMode m) { cfg_.latency_mode = m; }
     void setCrashMode(CrashPersistMode m, uint64_t seed = 0);
 
     /** Total emulated SCM delay charged so far, in nanoseconds. */
@@ -345,7 +343,7 @@ class ScmContext
     // Stats: lock-free per-thread-sharded counters; a snapshot sums the
     // shards (never torn, at worst slightly stale).  This context also
     // registers itself with the obs::StatsRegistry and emits these
-    // values under "scm.*" whenever it is the current context.
+    // values under "scm.*" whenever it is the published context.
     obs::ShardedCounter nStores_, nWtStores_, nFlushes_, nFences_,
         bytesStreamed_, bytesStored_;
     uint64_t statsSourceToken_ = 0;
@@ -355,63 +353,18 @@ class ScmContext
 const char *eventName(ScmContext::Event ev);
 
 /**
- * The current SCM context: the calling thread's override if one is
- * installed (setThreadCtx), else the process-wide context (setCtx),
- * else a shared default context.
+ * The published SCM context: the one setCtx() installed, else a shared
+ * default.  It is the context the "scm.*" stats keys report, and the one
+ * top-level programs (benchmarks, the mn_kvd daemon) look up.  Library
+ * layers never resolve it: each keeps the context it was built on.
  */
 ScmContext &ctx();
 
-/** Install @p c as the process-wide context; nullptr restores default. */
-void setCtx(ScmContext *c);
-
 /**
- * Per-thread override of the current context.  The crash-consistency
- * sweeper runs one isolated emulator per worker thread; every layer
- * resolves its primitives through ctx(), so the override confines a
- * worker's writes (and its crash) to its own emulator.  Threads spawned
- * by the runtime while an override is active (the async truncation
- * worker) install their creator's context themselves.
+ * Publish @p c (nullptr restores the default).  A context that is
+ * destroyed while published unpublishes itself.
  */
-ScmContext *threadCtx();
-void setThreadCtx(ScmContext *c);
-
-/** RAII installation of a process-wide context, for tests. */
-class ScopedCtx
-{
-  public:
-    explicit ScopedCtx(ScmContext &c) { setCtx(&c); }
-    ~ScopedCtx() { setCtx(nullptr); }
-    ScopedCtx(const ScopedCtx &) = delete;
-    ScopedCtx &operator=(const ScopedCtx &) = delete;
-};
-
-/** RAII installation of a per-thread context override (sweep workers). */
-class ScopedThreadCtx
-{
-  public:
-    explicit ScopedThreadCtx(ScmContext &c) : prev_(threadCtx())
-    {
-        setThreadCtx(&c);
-    }
-    ~ScopedThreadCtx() { setThreadCtx(prev_); }
-    ScopedThreadCtx(const ScopedThreadCtx &) = delete;
-    ScopedThreadCtx &operator=(const ScopedThreadCtx &) = delete;
-
-  private:
-    ScmContext *prev_;
-};
-
-/** Free-function forms of the primitives on the current context. @{ */
-inline void store(void *a, const void *s, size_t n) { ctx().store(a, s, n); }
-inline void wtstore(void *a, const void *s, size_t n) { ctx().wtstore(a, s, n); }
-inline void flush(const void *a) { ctx().flush(a); }
-inline void flushopt(const void *a) { ctx().flushopt(a); }
-inline void flushRange(const void *a, size_t n) { ctx().flushRange(a, n); }
-inline void fence() { ctx().fence(); }
-template <typename T> void storeT(T *a, T v) { ctx().storeT(a, v); }
-template <typename T> void wtstoreT(T *a, T v) { ctx().wtstoreT(a, v); }
-template <typename T> T loadT(const T *a) { return ctx().loadT(a); }
-/** @} */
+void setCtx(ScmContext *c);
 
 } // namespace mnemosyne::scm
 

@@ -29,10 +29,10 @@ using mnemosyne::test::smallRegionConfig;
 namespace {
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 16 << 20;
     rc.big_heap_bytes = 8 << 20;
@@ -87,8 +87,7 @@ TEST(Ldap, MalformedLdifRejected)
     apps::AttrDescTable descs;
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     apps::BackMnemosyne be(rt, descs);
     apps::DirectoryServer srv(be);
     EXPECT_THROW(srv.addFromLdif("dn: uid=a,dc=x\ncn: a\n"),
@@ -103,8 +102,7 @@ TEST_P(LdapBackends, AddThenSearchAllEntries)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     pcm::PcmDisk disk(diskCfg());
     pcm::MiniFs fs(disk);
     apps::AttrDescTable descs;
@@ -148,8 +146,7 @@ TEST(Ldap, BackMnemosyneSurvivesCrashMidWorkload)
         sc.crash_mode = scm::CrashPersistMode::kRandomSubset;
         sc.crash_seed = 99;
         scm::ScmContext c(sc);
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         apps::AttrDescTable descs;
         apps::BackMnemosyne be(rt, descs);
         apps::DirectoryServer srv(be);
@@ -172,8 +169,7 @@ TEST(Ldap, BackMnemosyneSurvivesCrashMidWorkload)
     ASSERT_GT(added, 0u);
 
     scm::ScmContext c2{scm::ScmConfig{}};
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     apps::AttrDescTable descs; // NEW generation: volatile descs are stale
     apps::BackMnemosyne be(rt, descs);
     apps::DirectoryServer srv(be);
@@ -214,8 +210,7 @@ TEST(TokyoMini, MsyncAndMnemosyneModesAgreeFunctionally)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     pcm::PcmDisk disk(diskCfg());
     pcm::MiniFs fs(disk);
 
@@ -239,14 +234,13 @@ TEST(TokyoMini, MnemosyneModeSurvivesRestart)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
     {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         apps::TokyoMini tc(rt, "tc_tree");
         for (int i = 0; i < 500; ++i)
             tc.put("key" + std::to_string(i), "value" + std::to_string(i));
     }
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     apps::TokyoMini tc(rt, "tc_tree");
     EXPECT_EQ(tc.count(), 500u);
     std::string v;

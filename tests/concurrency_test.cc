@@ -45,10 +45,10 @@ scmCfg()
 }
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 4 << 20;
     rc.big_heap_bytes = 4 << 20;
@@ -105,8 +105,7 @@ TEST(Concurrency, HeapStressCrossThreadFreesAndChurnNoLeaks)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         auto **slots = static_cast<void **>(rt.regions().pstaticVar(
             "stress_slots", kTotal * sizeof(void *), nullptr));
 
@@ -158,8 +157,7 @@ TEST(Concurrency, HeapStressCrossThreadFreesAndChurnNoLeaks)
     // reachable slots (nothing leaked, nothing doubly freed), and every
     // reachable block must be live and disjoint.
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     auto **slots = static_cast<void **>(rt.regions().pstaticVar(
         "stress_slots", kTotal * sizeof(void *), nullptr));
     auto &h = rt.heap();
@@ -196,9 +194,8 @@ TEST(Concurrency, DirectSuperblockHeapParallelAllocFree)
     constexpr size_t kPerThread = 64;
 
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     std::vector<uint64_t> arena(SuperblockHeap::footprint(128) / 8, 0);
-    auto h = SuperblockHeap::create(arena.data(),
+    auto h = SuperblockHeap::create(c, arena.data(),
                                     SuperblockHeap::footprint(128));
 
     std::vector<std::vector<void *>> ptrs(
@@ -240,9 +237,8 @@ TEST(Concurrency, SerializedModeMatchesThreadedAccounting)
     // The global-mutex baseline (used by the scaling benchmark) must
     // produce the same accounting as the per-thread mode.
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     std::vector<uint64_t> arena(SuperblockHeap::footprint(64) / 8, 0);
-    auto h = SuperblockHeap::create(arena.data(),
+    auto h = SuperblockHeap::create(c, arena.data(),
                                     SuperblockHeap::footprint(64));
     h->setSerialized(true);
     ASSERT_TRUE(h->serialized());
@@ -267,10 +263,9 @@ TEST(Concurrency, LogManagerParallelAcquireRelease)
 {
     constexpr size_t kSlots = 8;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     const size_t bytes = mlog::LogManager::footprint(kSlots, 64 * 1024);
     std::vector<uint64_t> arena(bytes / 8 + 1, 0);
-    auto lm = mlog::LogManager::create(arena.data(), bytes, kSlots,
+    auto lm = mlog::LogManager::create(c, arena.data(), bytes, kSlots,
                                        64 * 1024);
 
     // All threads acquire at once: the sharded free-slot search must
@@ -303,8 +298,7 @@ TEST(Concurrency, TxnThroughputUnderThreadChurn)
     // (no slot exhaustion) and every increment must commit exactly once.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     auto *counter = static_cast<uint64_t *>(
         rt.regions().pstaticVar("churn_counter", sizeof(uint64_t), nullptr));
 
@@ -344,8 +338,7 @@ TEST(Concurrency, PHashTableReaderWriterStress)
     scm::ScmConfig sc = scmCfg();
     sc.failure_tracking = false;
     scm::ScmContext c(sc);
-    scm::ScopedCtx guard(c);
-    RuntimeConfig rc = rtCfg(dir.path());
+    RuntimeConfig rc = rtCfg(c, dir.path());
     rc.txn.group_commit = true;
     rc.txn.truncation = mtm::Truncation::kAsync;
     Runtime rt(rc);

@@ -27,10 +27,10 @@ using mnemosyne::test::smallRegionConfig;
 namespace {
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 4 << 20;
     rc.big_heap_bytes = 4 << 20;
@@ -91,8 +91,7 @@ TEST_P(StressSweep, MemoryMatchesCommittedPrefix)
         sc.crash_mode = mode;
         sc.crash_seed = seed ^ 0x5eed;
         scm::ScmContext c(sc);
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         crash::StressEngine eng(rt, seed);
         std::mt19937_64 rng(seed);
         committed =
@@ -101,8 +100,7 @@ TEST_P(StressSweep, MemoryMatchesCommittedPrefix)
         c.crash(true);
     }
     scm::ScmContext c2{scm::ScmConfig{}};
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     const auto res = crash::StressEngine::verify(rt, seed, committed,
                                                  "crash_stress",
                                                  crash_event);
@@ -132,9 +130,8 @@ TEST(TornBitHarness, TornBitFlipsTruncateToExactPrefix)
     // BITS are the log's).
     for (uint64_t seed = 0; seed < 24; ++seed) {
         scm::ScmContext c{scm::ScmConfig{}};
-        scm::ScopedCtx guard(c);
         std::vector<uint64_t> arena(2048 / 8, 0);
-        auto log = mlog::Rawl::create(arena.data(), 2048);
+        auto log = mlog::Rawl::create(c, arena.data(), 2048);
         std::vector<std::vector<uint64_t>> appended;
         std::mt19937_64 rng(seed);
         size_t words_used = 0;
@@ -155,7 +152,7 @@ TEST(TornBitHarness, TornBitFlipsTruncateToExactPrefix)
         const size_t victim = rng() % words_used;
         buf[victim] ^= (uint64_t(1) << 63);
 
-        auto re = mlog::Rawl::open(arena.data());
+        auto re = mlog::Rawl::open(c, arena.data());
         ASSERT_NE(re, nullptr);
         auto cur = re->begin();
         std::vector<uint64_t> out;
@@ -198,8 +195,7 @@ TEST(TornBitHarness, RandomSubsetSurvivalSweepRecoversExactPrefix)
             sc.crash_mode = scm::CrashPersistMode::kRandomSubset;
             sc.crash_seed = seed;
             scm::ScmContext c(sc);
-            scm::ScopedCtx guard(c);
-            auto log = mlog::Rawl::create(arena.data(), 4096);
+            auto log = mlog::Rawl::create(c, arena.data(), 4096);
             c.persistAll();
             std::mt19937_64 rng(seed * 7919 + 1);
             try {
@@ -219,8 +215,7 @@ TEST(TornBitHarness, RandomSubsetSurvivalSweepRecoversExactPrefix)
             c.crash(true);
         }
         scm::ScmContext c2{scm::ScmConfig{}};
-        scm::ScopedCtx guard2(c2);
-        auto re = mlog::Rawl::open(arena.data());
+        auto re = mlog::Rawl::open(c2, arena.data());
         ASSERT_NE(re, nullptr) << "seed " << seed;
         auto cur = re->begin();
         std::vector<uint64_t> out;

@@ -45,10 +45,10 @@ scmCfg(scm::CrashPersistMode mode = scm::CrashPersistMode::kDropUnfenced,
 }
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 8 << 20;
     rc.big_heap_bytes = 8 << 20;
@@ -65,8 +65,7 @@ TEST(PHashTable, PutGetDelAgainstModel)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PHashTable ht(rt, "ht", 64);
 
     std::map<std::string, std::string> model;
@@ -100,14 +99,13 @@ TEST(PHashTable, SurvivesRestart)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PHashTable ht(rt, "ht", 64);
         for (int i = 0; i < 100; ++i)
             ht.put("key" + std::to_string(i), "val" + std::to_string(i));
     }
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PHashTable ht(rt, "ht", 64);
     EXPECT_EQ(ht.size(), 100u);
     std::string v;
@@ -119,8 +117,7 @@ TEST(PHashTable, ConcurrentPutsAllLand)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PHashTable ht(rt, "ht", 256);
 
     std::vector<std::thread> ts;
@@ -160,8 +157,7 @@ TEST_P(HashTableCrash, RecoversToConsistentPrefix)
     {
         scm::ScmContext c(
             scmCfg(scm::CrashPersistMode::kRandomSubset, seed));
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PHashTable ht(rt, "ht", 16);
         const uint64_t crash_at = c.eventCount() + 50 + rng() % 2000;
         c.setWriteHook([&](uint64_t n, scm::ScmContext::Event, const void *,
@@ -183,8 +179,7 @@ TEST_P(HashTableCrash, RecoversToConsistentPrefix)
         model[ops[i].first] = ops[i].second;
 
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     ds::PHashTable ht(rt, "ht", 16);
     // Every completed put must be visible; the op in flight may or may
     // not have committed.
@@ -208,8 +203,7 @@ TEST(PAvlTree, SortedIterationAndBalance)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PAvlTree t(rt, "avl");
 
     std::mt19937_64 rng(7);
@@ -239,8 +233,7 @@ TEST(PAvlTree, DeleteKeepsOrderAndContents)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PAvlTree t(rt, "avl");
 
     std::map<std::string, std::string> model;
@@ -267,8 +260,7 @@ TEST(PAvlTree, ValueReplacementReclaimsOldNode)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PAvlTree t(rt, "avl");
     t.put("key", std::string(100, 'a'));
     const auto before = rt.heap().stats().small.blocks_allocated;
@@ -293,8 +285,7 @@ TEST_P(AvlCrash, CommittedPutsSurviveAnyCrashDuringRebalancing)
     {
         scm::ScmContext c(
             scmCfg(scm::CrashPersistMode::kRandomSubset, seed));
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PAvlTree t(rt, "avlc");
         std::mt19937_64 rng(seed);
         const uint64_t crash_at = c.eventCount() + 200 + rng() % 4000;
@@ -317,8 +308,7 @@ TEST_P(AvlCrash, CommittedPutsSurviveAnyCrashDuringRebalancing)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     ds::PAvlTree t(rt, "avlc");
     EXPECT_GE(t.size(), done);
     EXPECT_LE(t.size(), done + 1);
@@ -346,8 +336,7 @@ TEST(PRbTree, InvariantsHoldUnderRandomInserts)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PRbTree t(rt, "rb");
 
     std::mt19937_64 rng(3);
@@ -378,15 +367,14 @@ TEST(PRbTree, SurvivesRestartWithInvariants)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PRbTree t(rt, "rb");
         uint8_t p[ds::PRbTree::kPayloadBytes] = {};
         for (uint64_t i = 0; i < 300; ++i)
             t.put(i * 7 % 307, p, sizeof(p)); // 307 prime: 300 distinct keys
     }
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PRbTree t(rt, "rb");
     EXPECT_EQ(t.size(), 300u);
     EXPECT_NO_THROW(t.checkInvariants());
@@ -403,8 +391,7 @@ TEST_P(RbTreeCrash, InvariantsHoldAfterCrashAnywhere)
     {
         scm::ScmContext c(
             scmCfg(scm::CrashPersistMode::kRandomSubset, seed));
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PRbTree t(rt, "rb");
         std::mt19937_64 rng(seed);
         uint8_t p[ds::PRbTree::kPayloadBytes] = {};
@@ -423,8 +410,7 @@ TEST_P(RbTreeCrash, InvariantsHoldAfterCrashAnywhere)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     ds::PRbTree t(rt, "rb");
     EXPECT_NO_THROW(t.checkInvariants()) << "seed " << seed;
 }
@@ -438,8 +424,7 @@ TEST(PBpTree, PutGetDelAgainstModel)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PBpTree t(rt, "bp");
 
     std::map<std::string, std::string> model;
@@ -483,10 +468,9 @@ TEST(PBpTree, DeepTreeSurvivesRestart)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     size_t height = 0;
     {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PBpTree t(rt, "bp");
         for (int i = 0; i < 3000; ++i) {
             char key[24];
@@ -496,7 +480,7 @@ TEST(PBpTree, DeepTreeSurvivesRestart)
         height = t.checkInvariants();
         EXPECT_GE(height, 3u) << "test must exercise internal splits";
     }
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PBpTree t(rt, "bp");
     EXPECT_EQ(t.size(), 3000u);
     EXPECT_EQ(t.checkInvariants(), height);
@@ -509,8 +493,7 @@ TEST(PBpTree, RejectsOversizedKey)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PBpTree t(rt, "bp");
     EXPECT_THROW(t.put(std::string(100, 'k'), "v"), std::invalid_argument);
 }
@@ -527,8 +510,7 @@ TEST_P(BpTreeCrash, StructureValidAfterCrashDuringSplits)
     {
         scm::ScmContext c(
             scmCfg(scm::CrashPersistMode::kRandomSubset, seed));
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PBpTree t(rt, "bp");
         std::mt19937_64 rng(seed);
         const uint64_t crash_at = c.eventCount() + 200 + rng() % 5000;
@@ -550,8 +532,7 @@ TEST_P(BpTreeCrash, StructureValidAfterCrashDuringSplits)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     ds::PBpTree t(rt, "bp");
     EXPECT_NO_THROW(t.checkInvariants()) << "seed " << seed;
     // Every completed put is present (the in-flight one may be too).

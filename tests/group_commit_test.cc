@@ -50,11 +50,11 @@ scmCfg(scm::CrashPersistMode mode = scm::CrashPersistMode::kDropUnfenced,
 }
 
 RuntimeConfig
-gcCfg(const std::string &dir, size_t max_batch = 64,
+gcCfg(scm::ScmContext &c, const std::string &dir, size_t max_batch = 64,
       size_t log_slot_bytes = 256 * 1024)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 4 << 20;
     rc.big_heap_bytes = 4 << 20;
@@ -82,15 +82,13 @@ TEST(GroupCommit, SyncCommitIsDurableOnReturn)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(gcCfg(dir.path()));
+        Runtime rt(gcCfg(c, dir.path()));
         uint64_t *x = pvar(rt, "x");
         rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 41); });
         c.crash(true); // no clean shutdown, no sync(): fence already paid
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c2, dir.path()));
     EXPECT_EQ(*pvar(rt, "x"), 41u);
     EXPECT_GE(rt.txns().stats().replayed_txns, 1u);
 }
@@ -99,8 +97,7 @@ TEST(GroupCommit, AsyncTicketPendingUntilSync)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
     // Quiesce the background truncator so IT cannot retire the epoch
     // between the commit and the assertions below.
@@ -125,8 +122,7 @@ TEST(GroupCommit, AsyncWithoutSyncMayDropWholeEpoch)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(gcCfg(dir.path()));
+        Runtime rt(gcCfg(c, dir.path()));
         uint64_t *x = pvar(rt, "x");
         uint64_t *y = pvar(rt, "y");
         // Keep the truncator's poll from sealing the open epoch before
@@ -140,8 +136,7 @@ TEST(GroupCommit, AsyncWithoutSyncMayDropWholeEpoch)
         c.crash(true); // epoch never sealed, never fenced
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c2, dir.path()));
     EXPECT_EQ(*pvar(rt, "x"), 1u) << "sync txn survived";
     EXPECT_EQ(*pvar(rt, "y"), 0u) << "un-fenced async txn dropped";
 }
@@ -154,8 +149,7 @@ TEST(GroupCommit, SyncDrainsMultipleEpochs)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(gcCfg(dir.path(), /*max_batch=*/2));
+        Runtime rt(gcCfg(c, dir.path(), /*max_batch=*/2));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "arr", 64 * sizeof(uint64_t), nullptr));
         std::vector<mtm::CommitTicket> tickets;
@@ -174,8 +168,7 @@ TEST(GroupCommit, SyncDrainsMultipleEpochs)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c2, dir.path()));
     auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
         "arr", 64 * sizeof(uint64_t), nullptr));
     for (int i = 0; i < 5; ++i)
@@ -191,8 +184,7 @@ TEST(GroupCommit, TicketSurvivesThreadExit)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(gcCfg(dir.path()));
+        Runtime rt(gcCfg(c, dir.path()));
         uint64_t *x = pvar(rt, "x");
         mtm::CommitTicket t;
         std::thread worker([&] {
@@ -206,8 +198,7 @@ TEST(GroupCommit, TicketSurvivesThreadExit)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c2, dir.path()));
     EXPECT_EQ(*pvar(rt, "x"), 9u)
         << "waited ticket implies durability, issuer thread gone or not";
 }
@@ -218,8 +209,7 @@ TEST(GroupCommit, CombinerAmortizesFences)
     // fence per EPOCH, not >=2 per transaction.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c, dir.path()));
     auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
         "arr", 64 * 8 * sizeof(uint64_t), nullptr));
 
@@ -276,8 +266,7 @@ TEST(GroupCommit, ExplicitWaitsSealAtOnce)
     obs::setEnabled(true);
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
     uint64_t *y = pvar(rt, "y");
     // Only this thread's waits may seal the epochs below.
@@ -325,8 +314,7 @@ TEST(GroupCommit, EpochBatchHistogramReportsExactMembers)
     obs::setEnabled(true);
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c, dir.path()));
     auto *arr = static_cast<uint64_t *>(
         rt.regions().pstaticVar("arr", 64 * sizeof(uint64_t), nullptr));
     // Only this thread's sync() may seal the epoch below.
@@ -354,8 +342,7 @@ TEST(GroupCommit, AsyncCommitLocksOneStripePerLine)
     // line it wrote until its epoch retires, not one per word.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c, dir.path()));
     auto *arr = static_cast<uint8_t *>(
         rt.regions().pstaticVar("arr", 4 * 64, nullptr));
     // Only this thread's wait may retire the epoch below.
@@ -406,8 +393,7 @@ TEST(GroupCommit, ReaderWaitsForRetiringEpoch)
     obs::setEnabled(true);
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
     // Only the reader may retire the epoch below.
     rt.txns().pauseTruncation();
@@ -441,8 +427,7 @@ TEST(GroupCommit, WriterWaitsForRetiringEpoch)
     // seals its epoch and takes the stripe, without an abort.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
     // Only this thread may retire the epochs below.
     rt.txns().pauseTruncation();
@@ -470,9 +455,8 @@ TEST(GroupCommit, TinyLogBackoffNudgesTruncator)
     // keep nudging so the system never deadlocks.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     // 4 KiB slots: ~500 words, a handful of transactions per wrap.
-    Runtime rt(gcCfg(dir.path(), /*max_batch=*/8,
+    Runtime rt(gcCfg(c, dir.path(), /*max_batch=*/8,
                      /*log_slot_bytes=*/4096));
     uint64_t *x = pvar(rt, "x");
     for (int i = 0; i < 500; ++i) {
@@ -494,8 +478,7 @@ TEST(GroupCommit, RecoveryCountsEpochTxns)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(gcCfg(dir.path()));
+        Runtime rt(gcCfg(c, dir.path()));
         uint64_t *x = pvar(rt, "x");
         uint64_t *y = pvar(rt, "y");
         rt.txns().pauseTruncation(); // keep y's epoch un-fenced below
@@ -507,8 +490,7 @@ TEST(GroupCommit, RecoveryCountsEpochTxns)
         c.crash(true); // un-fenced epoch: must drop
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(gcCfg(dir.path()));
+    Runtime rt(gcCfg(c2, dir.path()));
     EXPECT_EQ(*pvar(rt, "x"), 5u);
     EXPECT_EQ(*pvar(rt, "y"), 0u);
     const auto st = rt.txns().stats();

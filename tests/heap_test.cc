@@ -56,9 +56,8 @@ struct Arena {
 TEST(AtomicRedo, AppliesAllWrites)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = mlog::Rawl::create(a.data(), a.size());
+    auto log = mlog::Rawl::create(c, a.data(), a.size());
     mlog::AtomicRedo redo(*log);
 
     uint64_t x = 0, y = 0;
@@ -78,9 +77,8 @@ TEST(AtomicRedo, CrashAtAnyEventIsAllOrNothing)
     for (uint64_t crash_at = 1; crash_at < 40; ++crash_at) {
         scm::ScmContext c(
             scmCfg(scm::CrashPersistMode::kRandomSubset, crash_at * 7919));
-        scm::ScopedCtx guard(c);
         Arena a(8192);
-        auto log = mlog::Rawl::create(a.data(), a.size());
+        auto log = mlog::Rawl::create(c, a.data(), a.size());
         c.persistAll();
 
         static uint64_t x, y;
@@ -105,7 +103,7 @@ TEST(AtomicRedo, CrashAtAnyEventIsAllOrNothing)
             break; // ran to completion: later crash points are no-ops
         c.crash();
 
-        auto relog = mlog::Rawl::open(a.data());
+        auto relog = mlog::Rawl::open(c, a.data());
         ASSERT_NE(relog, nullptr);
         mlog::AtomicRedo redo(*relog);
         redo.recover();
@@ -119,9 +117,8 @@ TEST(AtomicRedo, CrashAtAnyEventIsAllOrNothing)
 TEST(SuperblockHeap, AllocateFreeRoundTrip)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(SuperblockHeap::footprint(16));
-    auto h = SuperblockHeap::create(a.data(), a.size());
+    auto h = SuperblockHeap::create(c, a.data(), a.size());
 
     static void *p = nullptr;
     void *got = h->allocate(100, &p);
@@ -137,9 +134,8 @@ TEST(SuperblockHeap, AllocateFreeRoundTrip)
 TEST(SuperblockHeap, DistinctAddressesAndClassSegregation)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(SuperblockHeap::footprint(32));
-    auto h = SuperblockHeap::create(a.data(), a.size());
+    auto h = SuperblockHeap::create(c, a.data(), a.size());
 
     std::set<void *> seen;
     static void *p;
@@ -156,9 +152,8 @@ TEST(SuperblockHeap, DistinctAddressesAndClassSegregation)
 TEST(SuperblockHeap, RejectsOversized)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(SuperblockHeap::footprint(8));
-    auto h = SuperblockHeap::create(a.data(), a.size());
+    auto h = SuperblockHeap::create(c, a.data(), a.size());
     static void *p;
     EXPECT_EQ(h->allocate(SuperblockHeap::kMaxBlock + 1, &p), nullptr);
 }
@@ -166,9 +161,8 @@ TEST(SuperblockHeap, RejectsOversized)
 TEST(SuperblockHeap, ExhaustionReturnsNull)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(SuperblockHeap::footprint(2));
-    auto h = SuperblockHeap::create(a.data(), a.size());
+    auto h = SuperblockHeap::create(c, a.data(), a.size());
     static void *p;
     size_t got = 0;
     while (h->allocate(4096, &p) != nullptr)
@@ -179,9 +173,8 @@ TEST(SuperblockHeap, ExhaustionReturnsNull)
 TEST(SuperblockHeap, FreeMakesBlocksReusable)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(SuperblockHeap::footprint(2));
-    auto h = SuperblockHeap::create(a.data(), a.size());
+    auto h = SuperblockHeap::create(c, a.data(), a.size());
     static void *p;
     std::vector<void *> blocks;
     while (h->allocate(512, &p) != nullptr)
@@ -200,17 +193,16 @@ TEST(SuperblockHeap, FreeMakesBlocksReusable)
 TEST(SuperblockHeap, StateSurvivesReopenAndScavenge)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(SuperblockHeap::footprint(16));
     static void *p1, *p2;
     {
-        auto h = SuperblockHeap::create(a.data(), a.size());
+        auto h = SuperblockHeap::create(c, a.data(), a.size());
         ASSERT_NE(h->allocate(64, &p1), nullptr);
         ASSERT_NE(h->allocate(64, &p2), nullptr);
         std::memset(p1, 0x11, 64);
     }
     c.persistAll();
-    auto h = SuperblockHeap::open(a.data());
+    auto h = SuperblockHeap::open(c, a.data());
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->stats().blocks_allocated, 2u);
     // Allocations after reopen must not collide with live blocks.
@@ -236,7 +228,6 @@ TEST_P(HeapCrashProperty, AllocationNeverLeaksOrDoublesAcrossCrash)
     // the pointer atomically with the bitmap bit).
     const uint64_t seed = GetParam();
     scm::ScmContext c(scmCfg(scm::CrashPersistMode::kRandomSubset, seed));
-    scm::ScopedCtx guard(c);
     Arena a(SuperblockHeap::footprint(16));
 
     // Pointer slots live in "persistent memory" (this arena outlives the
@@ -244,7 +235,7 @@ TEST_P(HeapCrashProperty, AllocationNeverLeaksOrDoublesAcrossCrash)
     static void *roots[16];
     std::memset(roots, 0, sizeof(roots));
 
-    auto h = SuperblockHeap::create(a.data(), a.size());
+    auto h = SuperblockHeap::create(c, a.data(), a.size());
     c.persistAll();
 
     std::mt19937_64 rng(seed);
@@ -268,7 +259,7 @@ TEST_P(HeapCrashProperty, AllocationNeverLeaksOrDoublesAcrossCrash)
     c.setWriteHook(nullptr);
     c.crash();
 
-    auto re = SuperblockHeap::open(a.data());
+    auto re = SuperblockHeap::open(c, a.data());
     ASSERT_NE(re, nullptr);
 
     // Every root must be null or point to a distinct allocated block.
@@ -289,9 +280,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HeapCrashProperty,
 TEST(BigAlloc, AllocateFreeRoundTrip)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(1 << 20);
-    auto b = BigAlloc::create(a.data(), a.size());
+    auto b = BigAlloc::create(c, a.data(), a.size());
     static void *p;
     ASSERT_NE(b->allocate(100 * 1024, &p), nullptr);
     EXPECT_TRUE(b->owns(p));
@@ -305,9 +295,8 @@ TEST(BigAlloc, AllocateFreeRoundTrip)
 TEST(BigAlloc, SplitAndCoalesce)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(1 << 20);
-    auto b = BigAlloc::create(a.data(), a.size());
+    auto b = BigAlloc::create(c, a.data(), a.size());
     static void *p1, *p2, *p3;
     ASSERT_NE(b->allocate(64 * 1024, &p1), nullptr);
     ASSERT_NE(b->allocate(64 * 1024, &p2), nullptr);
@@ -329,9 +318,8 @@ TEST(BigAlloc, SplitAndCoalesce)
 TEST(BigAlloc, ExhaustionReturnsNull)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(256 * 1024);
-    auto b = BigAlloc::create(a.data(), a.size());
+    auto b = BigAlloc::create(c, a.data(), a.size());
     static void *p;
     EXPECT_EQ(b->allocate(1 << 20, &p), nullptr);
 }
@@ -339,17 +327,16 @@ TEST(BigAlloc, ExhaustionReturnsNull)
 TEST(BigAlloc, SurvivesReopen)
 {
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     Arena a(1 << 20);
     static void *p1, *p2;
     {
-        auto b = BigAlloc::create(a.data(), a.size());
+        auto b = BigAlloc::create(c, a.data(), a.size());
         ASSERT_NE(b->allocate(10000, &p1), nullptr);
         ASSERT_NE(b->allocate(20000, &p2), nullptr);
         std::memset(p1, 7, 10000);
     }
     c.persistAll();
-    auto b = BigAlloc::open(a.data());
+    auto b = BigAlloc::open(c, a.data());
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(b->stats().chunks_in_use, 2u);
     b->free(&p1);
@@ -367,11 +354,10 @@ TEST_P(BigAllocCrashProperty, ChunkChainConsistentAfterCrash)
 {
     const uint64_t seed = GetParam();
     scm::ScmContext c(scmCfg(scm::CrashPersistMode::kRandomSubset, seed));
-    scm::ScopedCtx guard(c);
     Arena a(1 << 20);
     static void *roots[8];
     std::memset(roots, 0, sizeof(roots));
-    auto b = BigAlloc::create(a.data(), a.size());
+    auto b = BigAlloc::create(c, a.data(), a.size());
     c.persistAll();
 
     std::mt19937_64 rng(seed);
@@ -396,7 +382,7 @@ TEST_P(BigAllocCrashProperty, ChunkChainConsistentAfterCrash)
     c.crash();
 
     // open() asserts the chunk chain is well formed while walking it.
-    auto re = BigAlloc::open(a.data());
+    auto re = BigAlloc::open(c, a.data());
     ASSERT_NE(re, nullptr);
     std::set<void *> live;
     for (void *r : roots) {
@@ -415,10 +401,9 @@ TEST(PHeap, RoutesBySizeAndPersistsAcrossRestart)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     void *small_before, *big_before;
     {
-        region::RegionManager mgr(smallRegionConfig(dir.path()));
+        region::RegionManager mgr(c, smallRegionConfig(dir.path()));
         region::RegionLayer rl(mgr);
         PHeap ph(rl, 1 << 20, 1 << 20);
 
@@ -436,7 +421,7 @@ TEST(PHeap, RoutesBySizeAndPersistsAcrossRestart)
         std::memset(*bp, 0x43, 100 * 1024);
         c.persistAll();
     }
-    region::RegionManager mgr(smallRegionConfig(dir.path()));
+    region::RegionManager mgr(c, smallRegionConfig(dir.path()));
     region::RegionLayer rl(mgr);
     PHeap ph(rl, 1 << 20, 1 << 20);
     auto **sp = static_cast<void **>(
@@ -458,8 +443,7 @@ TEST(PHeap, SmallOverflowFallsBackToBig)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    region::RegionManager mgr(smallRegionConfig(dir.path()));
+    region::RegionManager mgr(c, smallRegionConfig(dir.path()));
     region::RegionLayer rl(mgr);
     // Tiny small heap: a couple of superblocks only.
     PHeap ph(rl, SuperblockHeap::footprint(2), 4 << 20);
@@ -476,8 +460,7 @@ TEST(PHeap, PfreeOfForeignPointerThrows)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    region::RegionManager mgr(smallRegionConfig(dir.path()));
+    region::RegionManager mgr(c, smallRegionConfig(dir.path()));
     region::RegionLayer rl(mgr);
     PHeap ph(rl, 1 << 20, 1 << 20);
     static int x;

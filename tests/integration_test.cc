@@ -29,10 +29,10 @@ using mnemosyne::test::smallRegionConfig;
 namespace {
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 8 << 20;
     rc.big_heap_bytes = 8 << 20;
@@ -47,9 +47,8 @@ TEST(Integration, FourStructuresShareOneRuntimeAcrossRestart)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
     {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PHashTable ht(rt, "i_ht", 256);
         ds::PAvlTree avl(rt, "i_avl");
         ds::PRbTree rb(rt, "i_rb");
@@ -64,7 +63,7 @@ TEST(Integration, FourStructuresShareOneRuntimeAcrossRestart)
             bp.put(k, "b" + std::to_string(i));
         }
     }
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PHashTable ht(rt, "i_ht", 256);
     ds::PAvlTree avl(rt, "i_avl");
     ds::PRbTree rb(rt, "i_rb");
@@ -88,9 +87,8 @@ TEST(Integration, TenRestartCyclesAccumulateState)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
     for (int cycle = 0; cycle < 10; ++cycle) {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PBpTree bp(rt, "i_bp");
         EXPECT_EQ(bp.size(), size_t(cycle) * 50) << "cycle " << cycle;
         for (int i = 0; i < 50; ++i) {
@@ -101,7 +99,7 @@ TEST(Integration, TenRestartCyclesAccumulateState)
         EXPECT_EQ(rt.reincarnation().reclaimed_allocs, 0u)
             << "clean shutdowns must not leave staged allocations";
     }
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PBpTree bp(rt, "i_bp");
     EXPECT_EQ(bp.size(), 500u);
     std::string v;
@@ -115,8 +113,7 @@ TEST(Integration, HeapTrafficUnderScmZonePressure)
     // to backing files) while transactions and the heap are active.
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    auto cfg = rtCfg(dir.path());
+    auto cfg = rtCfg(c, dir.path());
     cfg.region.scm_capacity = 24 << 20; // < heaps + logs + static
     Runtime rt(cfg);
     ds::PHashTable ht(rt, "i_press", 512);
@@ -153,8 +150,7 @@ TEST_P(MixedCrash, AllStructuresConsistentAfterCrash)
         sc.crash_mode = scm::CrashPersistMode::kRandomSubset;
         sc.crash_seed = seed;
         scm::ScmContext c(sc);
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         ds::PHashTable ht(rt, "m_ht", 64);
         ds::PBpTree bp(rt, "m_bp");
         ds::PRbTree rb(rt, "m_rb");
@@ -183,8 +179,7 @@ TEST_P(MixedCrash, AllStructuresConsistentAfterCrash)
         c.crash(true);
     }
     scm::ScmContext c2{scm::ScmConfig{}};
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     ds::PHashTable ht(rt, "m_ht", 64);
     ds::PBpTree bp(rt, "m_bp");
     ds::PRbTree rb(rt, "m_rb");
@@ -211,8 +206,7 @@ TEST(Integration, PHashTableAblationModesAgree)
     // the instrumented mode (it is a performance ablation only).
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     ds::PHashTable a(rt, "ab_a", 64, true);
     ds::PHashTable b(rt, "ab_b", 64, false);
     std::mt19937_64 rng(5);

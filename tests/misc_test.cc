@@ -29,10 +29,10 @@ using mnemosyne::test::smallRegionConfig;
 namespace {
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 4 << 20;
     rc.big_heap_bytes = 4 << 20;
@@ -101,10 +101,11 @@ TEST(Rawl, FootprintAndCapacityMath)
 {
     // footprint is monotonic and create() accepts exactly what
     // footprint promises.
+    scm::ScmContext c{scm::ScmConfig{}};
     for (size_t words : {16, 100, 1000}) {
         const size_t bytes = mlog::Rawl::footprint(words);
         std::vector<uint64_t> arena((bytes + 7) / 8, 0);
-        auto log = mlog::Rawl::create(arena.data(), bytes);
+        auto log = mlog::Rawl::create(c, arena.data(), bytes);
         EXPECT_EQ(log->capacityWords(), words);
         const size_t max_rec = mlog::Rawl::maxRecordWords(words);
         ASSERT_GT(max_rec, 0u);
@@ -118,8 +119,7 @@ TEST(Mtm, StatsCountCommitsAbortsAndReadonly)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     auto *x = static_cast<uint64_t *>(
         rt.regions().pstaticVar("x", 8, nullptr));
 
@@ -142,8 +142,7 @@ TEST(Mtm, CurrentReflectsActiveTransaction)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     EXPECT_EQ(rt.txns().current(), nullptr);
     rt.atomic([&](mtm::Txn &tx) {
         EXPECT_EQ(rt.txns().current(), &tx);
@@ -155,8 +154,7 @@ TEST(Mtm, ConflictsAreCountedAndResolved)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     auto *x = static_cast<uint64_t *>(
         rt.regions().pstaticVar("hot", 8, nullptr));
 
@@ -182,8 +180,7 @@ TEST(Runtime, UsableSizeAndOwns)
 {
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     auto **p = static_cast<void **>(
         rt.regions().pstaticVar("p", sizeof(void *), nullptr));
     rt.pmalloc(100, p);
@@ -194,14 +191,60 @@ TEST(Runtime, UsableSizeAndOwns)
     rt.pfree(p);
 }
 
+/** A runtime on a private, unpublished emulator — the shape of a crash
+ *  sweep trial.  A thread the runtime did not start still writes
+ *  through that emulator: every layer holds the context it was built
+ *  on instead of looking one up per thread. */
+TEST(Runtime, SpawnedThreadWritesThroughItsRuntimesEmulator)
+{
+    TempDir dir;
+    scm::ScmContext c{scm::ScmConfig{}};
+    Runtime rt(rtCfg(c, dir.path()));
+    auto *x = static_cast<uint64_t *>(
+        rt.regions().pstaticVar("spawned_x", 8, nullptr));
+
+    const uint64_t published0 = scm::ctx().statsSnapshot().fences;
+    const uint64_t fences0 = c.statsSnapshot().fences;
+    std::thread t([&] {
+        for (uint64_t i = 0; i < 10; ++i)
+            rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, i); });
+    });
+    t.join();
+    // Synchronous truncation: a log fence and a truncation fence per
+    // commit, all on the runtime's emulator and none on the published one.
+    EXPECT_GE(c.statsSnapshot().fences - fences0, 20u);
+    EXPECT_EQ(scm::ctx().statsSnapshot().fences - published0, 0u);
+}
+
+/** Two runtimes alive at once, each on its own emulator: commits
+ *  through one reach only that one's emulator. */
+TEST(Runtime, TwoRuntimesKeepTheirOwnEmulators)
+{
+    TempDir dir_a, dir_b;
+    scm::ScmContext a{scm::ScmConfig{}};
+    scm::ScmContext b{scm::ScmConfig{}};
+    Runtime rt_a(rtCfg(a, dir_a.path()));
+    RuntimeConfig cfg_b = rtCfg(b, dir_b.path());
+    cfg_b.region.va_base += cfg_b.region.va_reserve; // past A's range
+    Runtime rt_b(cfg_b);
+    auto *x = static_cast<uint64_t *>(
+        rt_a.regions().pstaticVar("two_x", 8, nullptr));
+
+    const uint64_t a0 = a.statsSnapshot().fences;
+    const uint64_t b0 = b.statsSnapshot().fences;
+    for (uint64_t i = 0; i < 10; ++i)
+        rt_a.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, i); });
+    EXPECT_GE(a.statsSnapshot().fences - a0, 20u);
+    EXPECT_EQ(b.statsSnapshot().fences - b0, 0u);
+}
+
 TEST(PHashTable, LargeValuesThroughBigAllocator)
 {
     // Values beyond the superblock classes route through the dlmalloc
     // fallback transparently.
     TempDir dir;
     scm::ScmContext c{scm::ScmConfig{}};
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     mnemosyne::ds::PHashTable ht(rt, "big_ht", 16);
     const std::string big(20000, 'B');
     ht.put("big", big);

@@ -50,11 +50,11 @@ scmCfg(scm::CrashPersistMode mode = scm::CrashPersistMode::kDropUnfenced,
 }
 
 RuntimeConfig
-rtCfg(const std::string &dir,
+rtCfg(scm::ScmContext &c, const std::string &dir,
       mtm::Truncation trunc = mtm::Truncation::kSync)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 4 << 20;
     rc.big_heap_bytes = 4 << 20;
@@ -146,8 +146,9 @@ class V1Log
         : c_(c),
           arena_(mlog::LogManager::footprint(kSlots, kSlotBytes) / 8 + 1),
           words_(words, 0),
-          logs_(mlog::LogManager::create(arena_.data(), arena_.size() * 8,
-                                         kSlots, kSlotBytes))
+          logs_(mlog::LogManager::create(c, arena_.data(),
+                                         arena_.size() * 8, kSlots,
+                                         kSlotBytes))
     {
     }
 
@@ -193,7 +194,7 @@ class V1Log
     recover()
     {
         c_.crash();
-        logs_ = mlog::LogManager::open(arena_.data());
+        logs_ = mlog::LogManager::open(c_, arena_.data());
         return mtm::recoverTransactions(*logs_, /*va_base=*/0);
     }
 
@@ -212,8 +213,7 @@ TEST(Mtm, CommitMakesWritesVisibleAndDurable)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
 
     rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 42); });
@@ -226,14 +226,13 @@ TEST(Mtm, ValuesPersistAcrossRuntimeRestart)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         rt.atomic([&](mtm::Txn &tx) {
             tx.writeT<uint64_t>(pvar(rt, "x"), 1234);
         });
     }
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     EXPECT_EQ(*pvar(rt, "x"), 1234u);
 }
 
@@ -241,8 +240,7 @@ TEST(Mtm, ReadYourOwnWrites)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
 
     rt.atomic([&](mtm::Txn &tx) {
@@ -259,8 +257,7 @@ TEST(Mtm, SubWordAndMultiWordAccess)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     auto *buf = static_cast<char *>(
         rt.regions().pstaticVar("buf", 64, nullptr));
 
@@ -280,8 +277,7 @@ TEST(Mtm, UserExceptionRollsBack)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
 
     EXPECT_THROW(rt.atomic([&](mtm::Txn &tx) {
@@ -299,8 +295,7 @@ TEST(Mtm, NestedAtomicFlattens)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
     uint64_t *y = pvar(rt, "y");
 
@@ -320,8 +315,7 @@ TEST(Mtm, ConcurrentIncrementsAreIsolated)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     uint64_t *counter = pvar(rt, "counter");
 
     constexpr int kThreads = 4;
@@ -349,8 +343,7 @@ TEST(Mtm, ConcurrentDisjointStructuresProceed)
     // different data structures (section 3.3).
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     auto *arr = static_cast<uint64_t *>(
         rt.regions().pstaticVar("arr", 64 * sizeof(uint64_t), nullptr));
 
@@ -378,8 +371,7 @@ TEST(Mtm, CrashBeforeCommitRollsBackOnRecovery)
     uint64_t *x_addr = nullptr;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         uint64_t *x = pvar(rt, "x");
         x_addr = x;
         rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 10); });
@@ -400,8 +392,7 @@ TEST(Mtm, CrashBeforeCommitRollsBackOnRecovery)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     EXPECT_EQ(pvar(rt, "x"), x_addr) << "fixed-address mapping";
     EXPECT_EQ(*pvar(rt, "x"), 10u)
         << "uncommitted transaction must roll back";
@@ -416,8 +407,7 @@ TEST(Mtm, CrashAfterCommitRecordReplaysOnRecovery)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+        Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
         uint64_t *x = pvar(rt, "x");
 
         // Async truncation: commit returns before data is forced to
@@ -429,8 +419,7 @@ TEST(Mtm, CrashAfterCommitRecordReplaysOnRecovery)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     EXPECT_EQ(*pvar(rt, "x"), 77u)
         << "committed txn must replay from the redo log";
 }
@@ -439,8 +428,7 @@ TEST(Mtm, AsyncTruncationEventuallyTruncates)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+    Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
     uint64_t *x = pvar(rt, "x");
     for (int i = 0; i < 50; ++i)
         rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, i); });
@@ -459,8 +447,7 @@ TEST(Mtm, RecoveryReplaysInTimestampOrder)
     uint64_t expected = 0;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+        Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
         uint64_t *x = pvar(rt, "x");
         rt.txns().pauseTruncation();
 
@@ -480,8 +467,7 @@ TEST(Mtm, RecoveryReplaysInTimestampOrder)
         c.crash(true); // all in-place data reverts; logs survive flush
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     EXPECT_GT(rt.txns().stats().replayed_txns, 0u);
     EXPECT_EQ(*pvar(rt, "x"), expected)
         << "replay in counter order must reproduce the final value";
@@ -493,8 +479,7 @@ TEST(Mtm, StagedAllocationSurvivesCommitAndReclaimsOnCrash)
     void *leaked = nullptr;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         auto **root = static_cast<void **>(rt.regions().pstaticVar(
             "root", sizeof(void *), nullptr));
 
@@ -512,8 +497,7 @@ TEST(Mtm, StagedAllocationSurvivesCommitAndReclaimsOnCrash)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     EXPECT_EQ(rt.reincarnation().reclaimed_allocs, 1u)
         << "unlinked staged block must be reclaimed, not leaked";
     auto **root = static_cast<void **>(
@@ -534,8 +518,7 @@ TEST(Mtm, RandomizedSubWordDifferential)
     // reuse leaves no stale buffered state behind.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     constexpr size_t kBytes = 2048;
     constexpr size_t kMaxLen = 72;
     auto *arr = static_cast<uint8_t *>(
@@ -591,8 +574,7 @@ TEST(Mtm, StagedRecordRecoveryRoundTrip)
     std::vector<uint64_t> expected(kWords);
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+        Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "rec_arr", kWords * sizeof(uint64_t), nullptr));
         rt.txns().pauseTruncation();
@@ -607,8 +589,7 @@ TEST(Mtm, StagedRecordRecoveryRoundTrip)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     EXPECT_EQ(rt.txns().stats().replayed_txns, 10u);
     auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
         "rec_arr", kWords * sizeof(uint64_t), nullptr));
@@ -631,8 +612,7 @@ spillRoundTrip(size_t words, uint64_t mul, uint64_t add)
     uint64_t records = 0;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+        Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "spill_arr", words * sizeof(uint64_t), nullptr));
         rt.txns().pauseTruncation();
@@ -646,8 +626,7 @@ spillRoundTrip(size_t words, uint64_t mul, uint64_t add)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     EXPECT_EQ(rt.txns().stats().replayed_txns, 1u);
     auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
         "spill_arr", words * sizeof(uint64_t), nullptr));
@@ -690,7 +669,6 @@ TEST(Mtm, OversizedTxnSpillsAndRecoversBothFormats)
     EXPECT_GT(spillRoundTrip(kWords, 5, 2), 1u);
 
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     V1Log v1(c, kWords);
     std::map<size_t, uint64_t> ws;
     for (size_t i = 0; i < kWords; ++i)
@@ -737,8 +715,7 @@ TEST(Mtm, RedoFormatDifferentialFuzz)
         TempDir dir;
         {
             scm::ScmContext c(scmCfg());
-            scm::ScopedCtx guard(c);
-            Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+            Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
             auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
                 "diff_arr", kWords * sizeof(uint64_t), nullptr));
             rt.txns().pauseTruncation();
@@ -761,8 +738,7 @@ TEST(Mtm, RedoFormatDifferentialFuzz)
         }
         {
             scm::ScmContext c(scmCfg());
-            scm::ScopedCtx guard(c);
-            Runtime rt(rtCfg(dir.path()));
+            Runtime rt(rtCfg(c, dir.path()));
             EXPECT_EQ(rt.txns().stats().replayed_txns, unsigned(kTxns))
                 << "seed=" << seed;
             auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
@@ -772,7 +748,6 @@ TEST(Mtm, RedoFormatDifferentialFuzz)
         }
 
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
         V1Log v1(c, kWords);
         auto &log = v1.acquire();
         for (size_t t = 0; t < txns.size(); ++t) {
@@ -812,8 +787,7 @@ TEST(Mtm, TornTailRecoveryPrefixBothFormats)
     TempDir dir;
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+        Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "torn_arr", kWords * sizeof(uint64_t), nullptr));
         rt.txns().pauseTruncation();
@@ -837,15 +811,13 @@ TEST(Mtm, TornTailRecoveryPrefixBothFormats)
     }
     {
         scm::ScmContext c(scmCfg());
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "torn_arr", kWords * sizeof(uint64_t), nullptr));
         expectPrefix(std::vector<uint64_t>(arr, arr + kWords), "v2");
     }
 
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     V1Log v1(c, kWords);
     auto &log = v1.acquire();
     for (int t = 0; t < kDone; ++t)
@@ -868,7 +840,6 @@ TEST(Mtm, V1CommitRecordsReplayInTimestampOrder)
     // recovery replays them by timestamp across slots, so the latest
     // timestamp's value wins whatever the slot order.
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     V1Log v1(c, 4);
     auto &a = v1.acquire();
     auto &b = v1.acquire();
@@ -889,7 +860,6 @@ TEST(Mtm, V1PairChunksStitchOrDiscard)
     // aborted; chunks with no commit record at the end of a log are a
     // torn transaction.
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     V1Log v1(c, 8);
     auto &a = v1.acquire();
     auto &b = v1.acquire();
@@ -916,7 +886,6 @@ TEST(Mtm, V1EpochRecordsReplayOnlyUnderTheirMarker)
     // surviving member is dropped with it; the ts-3 record has no
     // marker at all.
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     V1Log v1(c, 4);
     auto &member = v1.acquire();
     auto &sibling = v1.acquire();
@@ -947,8 +916,7 @@ TEST(Mtm, CompactRecordLogWordsPerClusteredTxn)
     // is 10 payload words, 12 framed; v2 must stay within 0.65x of it.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+    Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
     constexpr size_t kArr = 256;
     auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
         "clustered_arr", kArr * sizeof(uint64_t), nullptr));
@@ -976,8 +944,7 @@ TEST(Mtm, TruncatorFlushesHotLineOncePerBatch)
     // and the bound the dedup has to keep is 2x.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path(), mtm::Truncation::kAsync));
+    Runtime rt(rtCfg(c, dir.path(), mtm::Truncation::kAsync));
     auto *raw = static_cast<uint64_t *>(rt.regions().pstaticVar(
         "hot_arr", 2 * scm::kCacheLineSize, nullptr));
     auto *line = reinterpret_cast<uint64_t *>(
@@ -1005,20 +972,19 @@ TEST(Mtm, SyncTruncationStartsNoTruncatorThread)
     // warm-up runtime first starts any process-global thread.
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     auto extraThreads = [&](const RuntimeConfig &cfg, size_t base) {
         Runtime rt(cfg);
         uint64_t *x = pvar(rt, "x");
         rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(x, 1); });
         return threadCount() - base;
     };
-    (void)extraThreads(rtCfg(dir.path()), 0);
+    (void)extraThreads(rtCfg(c, dir.path()), 0);
     const size_t base = threadCount();
-    EXPECT_EQ(extraThreads(rtCfg(dir.path()), base), 0u) << "kSync";
-    EXPECT_EQ(extraThreads(rtCfg(dir.path(), mtm::Truncation::kAsync), base),
+    EXPECT_EQ(extraThreads(rtCfg(c, dir.path()), base), 0u) << "kSync";
+    EXPECT_EQ(extraThreads(rtCfg(c, dir.path(), mtm::Truncation::kAsync), base),
               1u)
         << "kAsync";
-    auto gc = rtCfg(dir.path());
+    auto gc = rtCfg(c, dir.path());
     gc.txn.group_commit = true;
     EXPECT_EQ(extraThreads(gc, base), 1u) << "group commit";
 }
@@ -1066,8 +1032,7 @@ TEST(Mtm, ThreadChurnRecyclesLogSlots)
     // thread would die with "out of log slots".
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c, dir.path()));
     uint64_t *x = pvar(rt, "x");
     for (int t = 0; t < 32; ++t) {
         std::thread th([&] {
@@ -1098,10 +1063,9 @@ TEST_P(MtmCrashSweep, TransferInvariantHolds)
     {
         scm::ScmContext c(
             scmCfg(scm::CrashPersistMode::kRandomSubset, seed));
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path(), seed % 2 == 0
-                                         ? mtm::Truncation::kSync
-                                         : mtm::Truncation::kAsync));
+        Runtime rt(rtCfg(c, dir.path(), seed % 2 == 0
+                                            ? mtm::Truncation::kSync
+                                            : mtm::Truncation::kAsync));
         uint64_t *a = pvar(rt, "acct_a");
         uint64_t *b = pvar(rt, "acct_b");
         rt.atomic([&](mtm::Txn &tx) {
@@ -1127,8 +1091,7 @@ TEST_P(MtmCrashSweep, TransferInvariantHolds)
         c.crash(true);
     }
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     const uint64_t a = *pvar(rt, "acct_a");
     const uint64_t b = *pvar(rt, "acct_b");
     EXPECT_EQ(a + b, 2000u) << "a=" << a << " b=" << b << " seed=" << seed;
@@ -1153,8 +1116,7 @@ TEST_P(CrashStress, MemoryMatchesCommittedPrefix)
     {
         scm::ScmContext c(
             scmCfg(scm::CrashPersistMode::kRandomSubset, seed * 31 + 7));
-        scm::ScopedCtx guard(c);
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(c, dir.path()));
         auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
             "stress", kWords * sizeof(uint64_t), nullptr));
         (void)arr;
@@ -1199,8 +1161,7 @@ TEST_P(CrashStress, MemoryMatchesCommittedPrefix)
     const auto expect_next = image(committed_ops + 1);
 
     scm::ScmContext c2(scmCfg());
-    scm::ScopedCtx guard2(c2);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(c2, dir.path()));
     auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
         "stress", kWords * sizeof(uint64_t), nullptr));
     const bool matches_prefix =

@@ -683,10 +683,10 @@ TEST(ObsFlightRecorder, ChromeExportEmitsProcessAndThreadNames)
 }
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 4 << 20;
     rc.big_heap_bytes = 4 << 20;
@@ -702,8 +702,7 @@ TEST(ObsFlightRecorder, RuntimeTxnsProduceCausalSpans)
     ScopedFlight guard(true, 1);
     TempDir dir;
     scm::ScmContext ctx{scm::ScmConfig{}};
-    scm::ScopedCtx guard2(ctx);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(ctx, dir.path()));
 
     uint64_t *cell = static_cast<uint64_t *>(
         rt.regions().pstaticVar("obs_fcell", sizeof(uint64_t), nullptr));
@@ -982,8 +981,7 @@ TEST(ObsIntegration, OneFencePerDurableTxnOnRawlPath)
 {
     TempDir dir;
     scm::ScmContext ctx{scm::ScmConfig{}};
-    scm::ScopedCtx guard(ctx);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(ctx, dir.path()));
 
     uint64_t *cell = static_cast<uint64_t *>(
         rt.regions().pstaticVar("obs_cell", sizeof(uint64_t), nullptr));
@@ -1014,8 +1012,8 @@ TEST(ObsIntegration, TxnStatsFoldedIntoRegistry)
     ScopedStats on(true);
     TempDir dir;
     scm::ScmContext ctx{scm::ScmConfig{}};
-    scm::ScopedCtx guard(ctx);
-    Runtime rt(rtCfg(dir.path()));
+    scm::setCtx(&ctx); // the "scm.*" keys report the published context
+    Runtime rt(rtCfg(ctx, dir.path()));
 
     uint64_t *cell = static_cast<uint64_t *>(
         rt.regions().pstaticVar("obs_cell2", sizeof(uint64_t), nullptr));

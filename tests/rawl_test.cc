@@ -61,9 +61,8 @@ record(size_t n, uint64_t seed)
 TEST(Rawl, AppendReadRoundTrip)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
 
     const auto r1 = record(5, 1);
     const auto r2 = record(17, 2);
@@ -85,9 +84,8 @@ TEST(Rawl, FullPayloadBitsSurvive)
     // 64-bit payload words with all bits set must round-trip: the torn
     // bit must not steal payload bits.
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     std::vector<uint64_t> r(7, ~uint64_t(0));
     log->append(r.data(), r.size());
     log->flush();
@@ -100,9 +98,8 @@ TEST(Rawl, FullPayloadBitsSurvive)
 TEST(Rawl, EmptyRecordRoundTrips)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(4096);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     log->append(nullptr, 0);
     log->flush();
     auto cur = log->begin();
@@ -114,9 +111,8 @@ TEST(Rawl, EmptyRecordRoundTrips)
 TEST(Rawl, RecordTooLargeThrows)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(1024);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     std::vector<uint64_t> big(4096, 1);
     EXPECT_THROW(log->append(big.data(), big.size()), mlog::RecordTooLarge);
 }
@@ -124,9 +120,8 @@ TEST(Rawl, RecordTooLargeThrows)
 TEST(Rawl, WrapAroundManyPasses)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(2048); // small log, many wraps
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
 
     std::vector<uint64_t> out;
     for (uint64_t i = 0; i < 500; ++i) {
@@ -145,9 +140,8 @@ TEST(Rawl, WrapAroundManyPasses)
 TEST(Rawl, ProducerSpinsThenSucceedsAfterConsume)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(1024);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
 
     const auto r = record(40, 7);
     while (log->tryAppend(r.data(), r.size())) {
@@ -164,16 +158,15 @@ TEST(Rawl, ProducerSpinsThenSucceedsAfterConsume)
 TEST(Rawl, ReopenAfterCleanShutdownKeepsRecords)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
     {
-        auto log = Rawl::create(a.data(), a.size());
+        auto log = Rawl::create(c, a.data(), a.size());
         const auto r = record(9, 3);
         log->append(r.data(), r.size());
         log->flush();
     }
     c.persistAll();
-    auto log = Rawl::open(a.data());
+    auto log = Rawl::open(c, a.data());
     ASSERT_NE(log, nullptr);
     auto cur = log->begin();
     std::vector<uint64_t> out;
@@ -184,15 +177,14 @@ TEST(Rawl, ReopenAfterCleanShutdownKeepsRecords)
 TEST(Rawl, FlushedRecordSurvivesCrash)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     const auto r = record(9, 3);
     log->append(r.data(), r.size());
     log->flush();
     c.crash();
 
-    auto re = Rawl::open(a.data());
+    auto re = Rawl::open(c, a.data());
     ASSERT_NE(re, nullptr);
     auto cur = re->begin();
     std::vector<uint64_t> out;
@@ -204,9 +196,8 @@ TEST(Rawl, FlushedRecordSurvivesCrash)
 TEST(Rawl, UnflushedRecordDiscardedOnCrash)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     const auto r1 = record(9, 3);
     log->append(r1.data(), r1.size());
     log->flush();
@@ -214,7 +205,7 @@ TEST(Rawl, UnflushedRecordDiscardedOnCrash)
     log->append(r2.data(), r2.size()); // never flushed
     c.crash();
 
-    auto re = Rawl::open(a.data());
+    auto re = Rawl::open(c, a.data());
     auto cur = re->begin();
     std::vector<uint64_t> out;
     ASSERT_TRUE(re->readRecord(cur, out));
@@ -227,9 +218,8 @@ TEST(Rawl, TornBitDetectsInjectedBitFlips)
     // Reliability test from section 6.2: flip torn bits in the log
     // image before recovery; the scan must stop at the flip.
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     for (int i = 0; i < 4; ++i) {
         const auto r = record(8, i);
         log->append(r.data(), r.size());
@@ -243,7 +233,7 @@ TEST(Rawl, TornBitDetectsInjectedBitFlips)
     const size_t rec_words = 1 + (64 * 8 + 62) / 63;
     words[2 * rec_words + 3] ^= (uint64_t(1) << 63);
 
-    auto re = Rawl::open(a.data());
+    auto re = Rawl::open(c, a.data());
     auto cur = re->begin();
     std::vector<uint64_t> out;
     int recovered = 0;
@@ -255,16 +245,15 @@ TEST(Rawl, TornBitDetectsInjectedBitFlips)
 TEST(Rawl, TruncateAllEmptiesLog)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     const auto r = record(9, 3);
     log->append(r.data(), r.size());
     log->flush();
     log->truncateAll();
     EXPECT_TRUE(log->empty());
     c.crash();
-    auto re = Rawl::open(a.data());
+    auto re = Rawl::open(c, a.data());
     EXPECT_TRUE(re->empty());
 }
 
@@ -279,9 +268,8 @@ TEST_P(RawlCrashProperty, RecoversExactPrefix)
 {
     const uint64_t seed = GetParam();
     scm::ScmContext c(cfg(scm::CrashPersistMode::kRandomSubset, seed));
-    scm::ScopedCtx guard(c);
     Arena a(4096);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     c.persistAll(); // creation is durable; the crash targets appends
 
     std::mt19937_64 rng(seed);
@@ -299,7 +287,7 @@ TEST_P(RawlCrashProperty, RecoversExactPrefix)
     }
     c.crash();
 
-    auto re = Rawl::open(a.data());
+    auto re = Rawl::open(c, a.data());
     ASSERT_NE(re, nullptr);
     auto cur = re->begin();
     std::vector<uint64_t> out;
@@ -325,9 +313,8 @@ TEST(Rawl, DoubleCrashDoesNotResurrectStaleWords)
 {
     for (uint64_t seed = 0; seed < 32; ++seed) {
         scm::ScmContext c(cfg(scm::CrashPersistMode::kRandomSubset, seed));
-        scm::ScopedCtx guard(c);
         Arena a(2048);
-        auto log = Rawl::create(a.data(), a.size());
+        auto log = Rawl::create(c, a.data(), a.size());
         c.persistAll();
 
         std::mt19937_64 rng(seed ^ 0xabcdef);
@@ -346,7 +333,7 @@ TEST(Rawl, DoubleCrashDoesNotResurrectStaleWords)
             }
             c.setCrashMode(scm::CrashPersistMode::kRandomSubset, rng());
             c.crash();
-            log = Rawl::open(a.data());
+            log = Rawl::open(c, a.data());
             ASSERT_NE(log, nullptr);
             auto cur = log->begin();
             size_t recovered = 0;
@@ -366,9 +353,8 @@ TEST(Rawl, DoubleCrashDoesNotResurrectStaleWords)
 TEST(CommitRecordLog, AppendReadRoundTrip)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = CommitRecordLog::create(a.data(), a.size());
+    auto log = CommitRecordLog::create(c, a.data(), a.size());
     const auto r1 = record(5, 1);
     const auto r2 = record(17, 2);
     log->append(r1.data(), r1.size());
@@ -386,9 +372,8 @@ TEST(CommitRecordLog, AppendReadRoundTrip)
 TEST(CommitRecordLog, UsesTwoFencesPerFlush)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = CommitRecordLog::create(a.data(), a.size());
+    auto log = CommitRecordLog::create(c, a.data(), a.size());
     const auto r = record(5, 1);
     log->append(r.data(), r.size());
     const auto before = c.statsSnapshot().fences;
@@ -399,9 +384,8 @@ TEST(CommitRecordLog, UsesTwoFencesPerFlush)
 TEST(Rawl, UsesOneFencePerFlush)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = Rawl::create(a.data(), a.size());
+    auto log = Rawl::create(c, a.data(), a.size());
     const auto r = record(5, 1);
     log->append(r.data(), r.size());
     const auto before = c.statsSnapshot().fences;
@@ -413,16 +397,15 @@ TEST(Rawl, UsesOneFencePerFlush)
 TEST(CommitRecordLog, UnflushedAppendDiscardedOnCrash)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(8192);
-    auto log = CommitRecordLog::create(a.data(), a.size());
+    auto log = CommitRecordLog::create(c, a.data(), a.size());
     const auto r1 = record(4, 1);
     log->append(r1.data(), r1.size());
     log->flush();
     const auto r2 = record(4, 2);
     log->append(r2.data(), r2.size());
     c.crash();
-    auto re = CommitRecordLog::open(a.data());
+    auto re = CommitRecordLog::open(c, a.data());
     auto cur = re->begin();
     std::vector<uint64_t> out;
     ASSERT_TRUE(re->readRecord(cur, out));
@@ -438,9 +421,8 @@ TEST_P(CommitLogCrashProperty, RecoversFlushedPrefix)
 {
     const uint64_t seed = GetParam();
     scm::ScmContext c(cfg(scm::CrashPersistMode::kRandomSubset, seed));
-    scm::ScopedCtx guard(c);
     Arena a(4096);
-    auto log = CommitRecordLog::create(a.data(), a.size());
+    auto log = CommitRecordLog::create(c, a.data(), a.size());
     c.persistAll();
 
     std::mt19937_64 rng(seed);
@@ -457,7 +439,7 @@ TEST_P(CommitLogCrashProperty, RecoversFlushedPrefix)
     }
     c.crash();
 
-    auto re = CommitRecordLog::open(a.data());
+    auto re = CommitRecordLog::open(c, a.data());
     auto cur = re->begin();
     std::vector<uint64_t> out;
     size_t recovered = 0;
@@ -475,9 +457,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CommitLogCrashProperty,
 TEST(LogManager, AcquireReleaseAndRecovery)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(LogManager::footprint(4, 4096));
-    auto lm = LogManager::create(a.data(), a.size(), 4, 4096);
+    auto lm = LogManager::create(c, a.data(), a.size(), 4, 4096);
 
     Rawl *l0 = lm->acquire(100);
     Rawl *l1 = lm->acquire(101);
@@ -490,7 +471,7 @@ TEST(LogManager, AcquireReleaseAndRecovery)
     EXPECT_EQ(lm->activeCount(), 1u);
     c.crash();
 
-    auto re = LogManager::open(a.data());
+    auto re = LogManager::open(c, a.data());
     ASSERT_NE(re, nullptr);
     EXPECT_EQ(re->activeCount(), 1u);
     re->forEachActive([&](size_t, Rawl &log) {
@@ -504,9 +485,8 @@ TEST(LogManager, AcquireReleaseAndRecovery)
 TEST(LogManager, ExhaustionThrows)
 {
     scm::ScmContext c(cfg());
-    scm::ScopedCtx guard(c);
     Arena a(LogManager::footprint(2, 2048));
-    auto lm = LogManager::create(a.data(), a.size(), 2, 2048);
+    auto lm = LogManager::create(c, a.data(), a.size(), 2, 2048);
     lm->acquire();
     lm->acquire();
     EXPECT_THROW(lm->acquire(), std::runtime_error);

@@ -39,8 +39,7 @@ TEST(RegionManager, MapsAtRequestedFixedAddress)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
 
     const uintptr_t want = mgr.firstUsableVa();
     void *addr = mgr.mapFile("r0.mem", 64 * 1024, want);
@@ -53,8 +52,7 @@ TEST(RegionManager, DataSurvivesUnmapAndRemap)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
 
     const uintptr_t at = mgr.firstUsableVa();
     auto *p = static_cast<uint64_t *>(mgr.mapFile("r0.mem", 4096, at));
@@ -68,16 +66,15 @@ TEST(RegionManager, DataSurvivesManagerRestart)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     uintptr_t at = 0;
     {
-        RegionManager mgr(smallRegionConfig(dir.path()));
+        RegionManager mgr(c, smallRegionConfig(dir.path()));
         at = mgr.firstUsableVa();
         auto *p = static_cast<uint64_t *>(mgr.mapFile("r0.mem", 8192, at));
         p[0] = 123456789;
         p[8191 / 8] = 42;
     }
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     auto *p = static_cast<uint64_t *>(mgr.mapFile("r0.mem", 8192, at));
     EXPECT_EQ(p[0], 123456789ULL);
     EXPECT_EQ(p[8191 / 8], 42ULL);
@@ -88,8 +85,7 @@ TEST(RegionManager, MappingTableTracksResidency)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
 
     const auto before = mgr.zoneStats();
     mgr.mapFile("r0.mem", 16 * region::kPageSize, mgr.firstUsableVa());
@@ -102,8 +98,7 @@ TEST(RegionManager, EvictionWritesBackAndFreesFrames)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
 
     const uintptr_t at = mgr.firstUsableVa();
     auto *p = static_cast<uint8_t *>(
@@ -121,10 +116,9 @@ TEST(RegionManager, CapacityPressureEvictsLru)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     auto cfg = smallRegionConfig(dir.path());
     cfg.scm_capacity = 64 * region::kPageSize; // tiny zone: 64 frames
-    RegionManager mgr(cfg);
+    RegionManager mgr(c, cfg);
 
     // The metadata table floor plus two 40-page regions exceed 64 frames,
     // forcing evictions.
@@ -140,8 +134,7 @@ TEST(RegionManager, BootReconstructRebuildsDescriptors)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     mgr.mapFile("r0.mem", 16 * region::kPageSize, mgr.firstUsableVa());
     const auto before = mgr.zoneStats();
     const size_t scanned = mgr.bootReconstruct();
@@ -154,17 +147,16 @@ TEST(RegionLayer, PmapReturnsFixedAddressAcrossRestart)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     void *addr1;
     {
-        RegionManager mgr(smallRegionConfig(dir.path()));
+        RegionManager mgr(c, smallRegionConfig(dir.path()));
         RegionLayer rl(mgr);
         EXPECT_TRUE(rl.firstRun());
         addr1 = rl.pmap(nullptr, 64 * 1024);
         static_cast<uint64_t *>(addr1)[0] = 77;
         c.persistAll();
     }
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     EXPECT_FALSE(rl.firstRun());
     const auto regions = rl.regions();
@@ -177,8 +169,7 @@ TEST(RegionLayer, PmapStoresAddressIntoPersistentSlot)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
 
     auto **slot = static_cast<void **>(
@@ -191,8 +182,7 @@ TEST(RegionLayer, PunmapRemovesRegionAndBackingData)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
 
     void *addr = rl.pmap(nullptr, 4096);
@@ -209,9 +199,8 @@ TEST(RegionLayer, IntentionLogDestroysPartialRegionOnRecovery)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     {
-        RegionManager mgr(smallRegionConfig(dir.path()));
+        RegionManager mgr(c, smallRegionConfig(dir.path()));
         RegionLayer rl(mgr);
         rl.pmap(nullptr, 4096);
         c.persistAll();
@@ -219,17 +208,17 @@ TEST(RegionLayer, IntentionLogDestroysPartialRegionOnRecovery)
         // forge the first entry's state back to "intent".  The entry
         // layout is private, so drive it through the public pmap path of
         // a second region and crash before its valid flag is durable.
-        scm::ctx().setWriteHook(
+        c.setWriteHook(
             [&](uint64_t, scm::ScmContext::Event ev, const void *, size_t) {
                 static int fences = 0;
                 if (ev == scm::ScmContext::Event::kFence && ++fences == 2)
                     throw scm::CrashNow{};
             });
         EXPECT_THROW(rl.pmap(nullptr, 4096), scm::CrashNow);
-        scm::ctx().setWriteHook(nullptr);
+        c.setWriteHook(nullptr);
         c.crash();
     }
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     // Only the fully created region survives.
     EXPECT_EQ(rl.regions().size(), 1u);
@@ -251,8 +240,7 @@ TEST_P(PmapCrashSweep, RegionAllOrNothing)
         sc.crash_mode = scm::CrashPersistMode::kRandomSubset;
         sc.crash_seed = seed;
         scm::ScmContext c(sc);
-        scm::ScopedCtx guard(c);
-        RegionManager mgr(smallRegionConfig(dir.path()));
+        RegionManager mgr(c, smallRegionConfig(dir.path()));
         RegionLayer rl(mgr);
         c.persistAll();
         bool crashed = false;
@@ -277,8 +265,7 @@ TEST_P(PmapCrashSweep, RegionAllOrNothing)
         c.crash(true);
     }
     scm::ScmContext c2{scm::ScmConfig{}};
-    scm::ScopedCtx guard2(c2);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c2, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     const auto regions = rl.regions();
     ASSERT_LE(regions.size(), 1u) << "seed " << seed;
@@ -298,18 +285,17 @@ TEST(RegionLayer, PstaticInitializesOnceAndPersists)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     {
-        RegionManager mgr(smallRegionConfig(dir.path()));
+        RegionManager mgr(c, smallRegionConfig(dir.path()));
         RegionLayer rl(mgr);
         auto *v = static_cast<uint64_t *>(
             rl.pstaticVar("counter", 8, nullptr));
         EXPECT_EQ(*v, 0ULL);
-        scm::ctx().wtstoreT(v, uint64_t(5));
-        scm::ctx().fence();
+        c.wtstoreT(v, uint64_t(5));
+        c.fence();
         c.persistAll();
     }
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     auto *v = static_cast<uint64_t *>(rl.pstaticVar("counter", 8, nullptr));
     EXPECT_EQ(*v, 5ULL) << "pstatic variable must retain its value";
@@ -319,8 +305,7 @@ TEST(RegionLayer, PstaticInitialValueApplied)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     const uint64_t init = 0xfeedface;
     auto *v = static_cast<uint64_t *>(rl.pstaticVar("x", 8, &init));
@@ -331,8 +316,7 @@ TEST(RegionLayer, PstaticSizeChangeIsAnError)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     rl.pstaticVar("x", 8, nullptr);
     EXPECT_THROW(rl.pstaticVar("x", 16, nullptr), std::runtime_error);
@@ -342,8 +326,7 @@ TEST(RegionLayer, IsPersistentRangeCheck)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     void *addr = rl.pmap(nullptr, 4096);
     int local;
@@ -355,8 +338,7 @@ TEST(PStatic, ResolvesThroughCurrentLayer)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     region::setCurrentRegionLayer(&rl);
 
@@ -371,15 +353,14 @@ TEST(PStatic, RebindsAfterRuntimeRestart)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
     region::PStatic<uint64_t> boots("boot_count", 0);
     for (int run = 0; run < 3; ++run) {
-        RegionManager mgr(smallRegionConfig(dir.path()));
+        RegionManager mgr(c, smallRegionConfig(dir.path()));
         RegionLayer rl(mgr);
         region::setCurrentRegionLayer(&rl);
         EXPECT_EQ(*boots, uint64_t(run));
-        scm::ctx().wtstoreT(boots.get(), uint64_t(run + 1));
-        scm::ctx().fence();
+        c.wtstoreT(boots.get(), uint64_t(run + 1));
+        c.fence();
         region::setCurrentRegionLayer(nullptr);
         c.persistAll();
     }
@@ -389,8 +370,7 @@ TEST(Pptr, AcceptsPersistentRejectsNothingWhenNoLayer)
 {
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     region::setCurrentRegionLayer(&rl);
 
@@ -412,8 +392,7 @@ TEST(PptrDeathTest, RejectsVolatileTarget)
     ::testing::FLAGS_gtest_death_test_style = "fast";
     TempDir dir;
     scm::ScmContext c(scmCfg());
-    scm::ScopedCtx guard(c);
-    RegionManager mgr(smallRegionConfig(dir.path()));
+    RegionManager mgr(c, smallRegionConfig(dir.path()));
     RegionLayer rl(mgr);
     region::setCurrentRegionLayer(&rl);
     static uint64_t volatile_word;

@@ -344,14 +344,18 @@ TEST(Scm, MultiThreadedWritesAllDurableAfterEachThreadFences)
             EXPECT_EQ(data[t * kWords + i], uint64_t(t * 1000 + i));
 }
 
-TEST(Scm, ScopedCtxInstallsAndRestores)
+TEST(Scm, PublishedContextUnpublishesOnDestruction)
 {
-    ScmContext mine(trackedCfg());
+    scm::setCtx(nullptr);
+    ScmContext &fallback = scm::ctx();
     {
-        scm::ScopedCtx guard(mine);
+        ScmContext mine(trackedCfg());
+        scm::setCtx(&mine);
         EXPECT_EQ(&scm::ctx(), &mine);
     }
-    EXPECT_NE(&scm::ctx(), &mine);
+    // A destroyed context never stays published: lookups fall back to
+    // the shared default.
+    EXPECT_EQ(&scm::ctx(), &fallback);
 }
 
 // Property sweep: for any interleaving of stores/flushes under any crash

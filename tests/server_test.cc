@@ -48,10 +48,10 @@ scmCfg()
 }
 
 RuntimeConfig
-rtCfg(const std::string &dir)
+rtCfg(scm::ScmContext &c, const std::string &dir)
 {
     RuntimeConfig rc;
-    rc.use_current_scm_context = true;
+    rc.scm_context = &c;
     rc.region = smallRegionConfig(dir);
     rc.small_heap_bytes = 8 << 20;
     rc.big_heap_bytes = 4 << 20;
@@ -67,14 +67,14 @@ rtCfg(const std::string &dir)
 struct ServerFixture {
     TempDir dir;
     scm::ScmContext ctx{scmCfg()};
-    scm::ScopedCtx guard{ctx};
-    Runtime rt{rtCfg(dir.path())};
+    Runtime rt{rtCfg(ctx, dir.path())};
     srv::KvServer server;
     srv::KvClient client;
 
     explicit ServerFixture(srv::KvServerConfig cfg = {})
         : server(rt, withDefaults(cfg))
     {
+        scm::setCtx(&ctx); // STAT's "scm.*" keys report the published one
         EXPECT_TRUE(server.start());
         EXPECT_TRUE(client.connect("127.0.0.1", server.port()));
     }
@@ -436,10 +436,9 @@ TEST(KvServer, StopDrainsPipelinedWrites)
 {
     TempDir dir;
     scm::ScmContext ctx(scmCfg());
-    scm::ScopedCtx guard(ctx);
     std::string lastKey;
     {
-        Runtime rt(rtCfg(dir.path()));
+        Runtime rt(rtCfg(ctx, dir.path()));
         srv::KvServer server(rt, ServerFixture::withDefaults({}));
         ASSERT_TRUE(server.start());
         srv::KvClient cl;
@@ -462,7 +461,7 @@ TEST(KvServer, StopDrainsPipelinedWrites)
     }
     // Reincarnate: clean shutdown means nothing to replay, and the
     // acked data is all there.
-    Runtime rt2(rtCfg(dir.path()));
+    Runtime rt2(rtCfg(ctx, dir.path()));
     EXPECT_EQ(rt2.reincarnation().replayed_txns, 0u);
     mnemosyne::ds::PHashTable table(rt2, "kv_server_table", 512);
     std::string v;
@@ -478,8 +477,7 @@ TEST(PHashTable, AsyncPutDelTickets)
     // overwrites coexist with splices.
     TempDir dir;
     scm::ScmContext ctx(scmCfg());
-    scm::ScopedCtx guard(ctx);
-    Runtime rt(rtCfg(dir.path()));
+    Runtime rt(rtCfg(ctx, dir.path()));
     mnemosyne::ds::PHashTable table(rt, "async_table", 128);
 
     mtm::CommitTicket last{};

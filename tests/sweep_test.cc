@@ -123,9 +123,8 @@ TEST(Sweeper, EpochScenariosSealOneWholeEpochPerSync)
     for (const auto &k : cases) {
         mnemosyne::test::TempDir dir;
         scm::ScmContext c{scm::ScmConfig{}};
-        scm::ScopedCtx guard(c);
         mnemosyne::RuntimeConfig rc;
-        rc.use_current_scm_context = true;
+        rc.scm_context = &c;
         rc.region = mnemosyne::test::smallRegionConfig(dir.path());
         rc.small_heap_bytes = 4 << 20;
         rc.big_heap_bytes = 4 << 20;

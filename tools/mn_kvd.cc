@@ -127,12 +127,12 @@ main(int argc, char **argv)
     scfg.write_latency_ns = scm_latency_ns;
     scfg.failure_tracking = false;
     static scm::ScmContext sctx(scfg);
-    scm::setCtx(&sctx);
+    scm::setCtx(&sctx); // STAT's "scm.*" keys report the published context
 
     std::filesystem::create_directories(dir);
 
     RuntimeConfig cfg;
-    cfg.use_current_scm_context = true;
+    cfg.scm_context = &sctx;
     cfg.region.backing_dir = dir;
     cfg.region.scm_capacity = size_t(heap_mb + 320) << 20;
     cfg.region.va_reserve = size_t(4) << 30;
